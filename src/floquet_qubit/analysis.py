@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
 from .dynamics import PopulationTrace
-from .floquet import mean_bessel, quasienergy
+from .floquet import _half_order_bessel, mean_bessel, quasienergy
 from .model import SystemParams
 from .specfun import bessel_j
 
@@ -60,66 +60,39 @@ class PeriodicityResult:
     is_periodic: bool
 
 
-def _energy_at_ratio(base: SystemParams, ratio: float) -> float:
-    params = replace(base, amplitude=ratio * base.carrier)
-    return quasienergy(params)
-
-
 def quasienergy_zeros(params_base: SystemParams, ratio_min: float, ratio_max: float,
                       tol: float = ZERO_REFINE_TOL,
                       grid_step: float = ZERO_SCAN_STEP) -> list[float]:
     """All zeros of A/omega_0 -> E_N inside [ratio_min, ratio_max].
 
-    A fixed-step scan brackets candidates, which are refined either by
-    bisection (sign changes) or by bounded minimisation (tangent zeros, where
-    E_N touches zero without changing sign -- the generic case here, since
-    the period-averaged coupling is non-negative between its zeros).
+    E_N is proportional to J_{N/2}(A/omega_0)^2 (``floquet.mean_bessel``), so
+    it touches zero without changing sign exactly where J_{N/2} changes sign.
+    A fixed-step scan of J_{N/2} brackets those sign changes and ``brentq``
+    refines each to ``tol``.  The scan reaches ``tol`` past either edge and
+    reports a zero found there on the edge, so a zero on an edge is found
+    whichever side its rounded value falls.  The undriven point A = 0 is
+    never reported, and a zero tunneling gap (E_N identically zero) gives no
+    zeros.
     """
     if ratio_min < 0 or ratio_max <= ratio_min:
         raise ValueError("need 0 <= ratio_min < ratio_max")
     if tol <= 0 or grid_step <= 0:
         raise ValueError("tol and grid_step must be > 0")
-
-    count = int(math.ceil((ratio_max - ratio_min) / grid_step)) + 1
-    grid = np.linspace(ratio_min, ratio_max, count)
-    values = np.array([_energy_at_ratio(params_base, r) for r in grid])
-    scale = float(np.max(np.abs(values)))
-    if scale == 0.0:
+    if params_base.delta_gap == 0.0:
         return []
 
-    zeros: list[float] = []
-    for i in range(len(grid) - 1):
-        if values[i] * values[i + 1] < 0.0:
-            zeros.append(_bisect_zero(params_base, grid[i], grid[i + 1], tol))
-    for i in range(1, len(grid) - 1):
-        if abs(values[i]) < abs(values[i - 1]) and abs(values[i]) <= abs(values[i + 1]):
-            result = optimize.minimize_scalar(
-                lambda r: abs(_energy_at_ratio(params_base, r)),
-                bounds=(grid[i - 1], grid[i + 1]), method="bounded",
-                options={"xatol": min(tol, 1e-5)})
-            if abs(result.fun) < 1e-6 * scale:
-                zeros.append(float(result.x))
-
-    zeros.sort()
-    deduped: list[float] = []
-    for z in zeros:
-        if not deduped or z - deduped[-1] > max(tol, 1e-6):
-            deduped.append(z)
-    return deduped
-
-
-def _bisect_zero(base: SystemParams, lo: float, hi: float, tol: float) -> float:
-    f_lo = _energy_at_ratio(base, lo)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = _energy_at_ratio(base, mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    order = params_base.order
+    lo, hi = max(ratio_min - tol, 0.0), ratio_max + tol
+    grid = np.linspace(lo, hi, int(math.ceil((hi - lo) / grid_step)) + 1)
+    values = _half_order_bessel(order, grid)
+    # J_{N/2} vanishes at A = 0 and underflows to zero just above it at high
+    # order; dropping exact zeros leaves only genuine sign changes
+    nonzero = np.flatnonzero(values)
+    signs = np.sign(values[nonzero])
+    roots = [optimize.brentq(lambda r: _half_order_bessel(order, r),
+                             grid[nonzero[k]], grid[nonzero[k + 1]], xtol=tol)
+             for k in np.flatnonzero(signs[:-1] != signs[1:])]
+    return [min(max(root, ratio_min), ratio_max) for root in roots]
 
 
 def periodicity_residual(params: SystemParams, m: int, n: int) -> PeriodicityResult:

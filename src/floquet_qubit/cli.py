@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,7 +33,7 @@ _FLOAT_KEYS = {
     "epsilon0", "delta_gap", "amplitude", "carrier", "modulation",
     "tol", "ratio_min", "ratio_max", "ratio_step", "t_end", "weight_threshold",
 }
-_INT_KEYS = {"order", "samples", "m_max", "n_max", "index_cutoff", "workers"}
+_INT_KEYS = {"order", "samples", "m_max", "n_max", "index_cutoff"}
 _STR_KEYS = {"method", "axis", "format", "out"}
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
 
@@ -62,7 +60,6 @@ class RunConfig:
     n_max: int = 6
     weight_threshold: float = 1.0e-8
     index_cutoff: int | None = None
-    workers: int = 1
 
 
 def _parse_source(source: str) -> dict:
@@ -172,16 +169,12 @@ def parse_config(source: str, overrides: dict | None = None,
         index_cutoff = int(index_cutoff)
         if index_cutoff < 0:
             raise ConfigError("invalid value for 'index_cutoff': must be >= 0")
-    workers = int(values.get("workers", os.cpu_count() or 1))
-    if workers < 1:
-        raise ConfigError(f"invalid value for 'workers': must be >= 1, got {workers}")
 
     return RunConfig(command=command, params=params, out=str(out), fmt=str(fmt),
                      tol=tol, ratio_min=ratio_min, ratio_max=ratio_max,
                      ratio_step=ratio_step, t_end=t_end, samples=samples,
                      method=method, axis=axis, m_max=m_max, n_max=n_max,
-                     weight_threshold=weight_threshold, index_cutoff=index_cutoff,
-                     workers=workers)
+                     weight_threshold=weight_threshold, index_cutoff=index_cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -239,22 +232,12 @@ def _write_values(config: RunConfig, values: list[float]) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
-def _sweep_point(job: tuple[SystemParams, float]) -> float:
-    params, ratio = job
-    return quasienergy(replace(params, amplitude=ratio * params.carrier))
-
-
 def _run_sweep(config: RunConfig) -> None:
     count = int(math.floor((config.ratio_max - config.ratio_min) / config.ratio_step + 1e-9)) + 1
     ratios = [config.ratio_min + i * config.ratio_step for i in range(count)]
-    jobs = [(config.params, r) for r in ratios]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunk = max(1, len(jobs) // (4 * config.workers))
-            energies = list(pool.map(_sweep_point, jobs, chunksize=chunk))
-    else:
-        energies = [_sweep_point(job) for job in jobs]
-    header = ["ratio", f"quasienergy_{config.params.order}"]
+    params = config.params
+    energies = [quasienergy(replace(params, amplitude=r * params.carrier)) for r in ratios]
+    header = ["ratio", f"quasienergy_{params.order}"]
     _write_rows(config, header, list(zip(ratios, energies)))
     print(f"sweep: wrote {len(ratios)} points to {config.out}")
 

@@ -16,11 +16,11 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 from scipy.interpolate import CubicHermiteSpline
 
 from .model import SystemParams
-from .specfun import bessel_j, gamma_fn, hyp2f1_reduced
+from .specfun import bessel_j, gamma_fn
 
 __all__ = [
     "QuadratureError",
@@ -45,7 +45,6 @@ __all__ = [
     "alpha_phase",
 ]
 
-MEAN_BESSEL_ABS_TOL = 1.0e-10
 PHASE_TABLE_SIZE = 4096  # 2**12 nodes per period for the sampled periodic part
 
 
@@ -74,28 +73,20 @@ def tunneling_amplitude(params: SystemParams, t):
     return sign * 0.5 * params.delta_gap * bessel_j(n, w)
 
 
-@lru_cache(maxsize=512)
+def _half_order_bessel(order: int, ratio):
+    """J_{N/2}(r): its square is the period-averaged coupling (``mean_bessel``)."""
+    return special.jv(0.5 * order, ratio)
+
+
 def mean_bessel(params: SystemParams) -> float:
-    """Period average of J_N(w(t)) by adaptive quadrature.
+    """Period average of J_N(w(t)), in closed form J_{N/2}(A/omega_0)^2.
 
-    The integrand is symmetric about the midpoint of the half-period, so the
-    average reduces to (2/pi) int_0^{pi/2} J_N(2 r cos u) du; this also puts
-    the |cos| kink exactly at the integration endpoint.
+    The average is (2/pi) int_0^{pi/2} J_N(2 r cos u) du, which Neumann's
+    product integral J_mu(z) J_nu(z) = (2/pi) int_0^{pi/2} J_{mu+nu}(2 z cos u)
+    cos((mu - nu) u) du (DLMF 10.22) evaluates at mu = nu = N/2.  The average
+    is therefore non-negative, and its zeros are those of J_{N/2}.
     """
-    r = params.drive_ratio
-    if r == 0.0:
-        return 0.0
-    n = params.order
-
-    def integrand(u: float) -> float:
-        return bessel_j(n, 2.0 * r * math.cos(u))
-
-    value, estimate = integrate.quad(integrand, 0.0, 0.5 * math.pi,
-                                     epsabs=1e-13, epsrel=1e-13, limit=300)
-    if estimate * (2.0 / math.pi) > MEAN_BESSEL_ABS_TOL:
-        raise QuadratureError("mean_bessel quadrature did not converge",
-                              estimate * (2.0 / math.pi))
-    return (2.0 / math.pi) * value
+    return float(_half_order_bessel(params.order, params.drive_ratio) ** 2)
 
 
 def quasienergy(params: SystemParams) -> float:
@@ -314,8 +305,9 @@ def qes_state(params: SystemParams, branch: str, t: float) -> QesState:
 class WeakDriveForms:
     """Weak-drive closed forms for the period average and periodic phase.
 
-    ``mean_moment`` evaluates (1/N!) (A/omega0)^N times the exact |cos|^N
-    moment and agrees with the quadrature average as A -> 0.  ``mean_bracket``
+    ``mean_moment`` is (1/N!) (A/omega0)^N times the exact |cos|^N moment,
+    which equals (r/2)^N / Gamma(N/2 + 1)^2, the leading term of the exact
+    average J_{N/2}(r)^2 as A -> 0.  ``mean_bracket``
     is an alternative closed form retained verbatim for regression purposes;
     it is *not* equal to ``mean_moment`` (for N = 1 the two differ by the
     constant factor sqrt(pi)/2) and the test suite pins that gap so it cannot
@@ -329,11 +321,15 @@ class WeakDriveForms:
 
 
 def _abs_cos_antiderivative(order: int, u: float) -> float:
-    """int_0^u |cos v|^N dv on 0 <= u <= pi via the reduced hypergeometric form."""
-    c = math.cos(u)
-    head = 0.5 * math.sqrt(math.pi) * gamma_fn(0.5 * (1 + order)) / gamma_fn(1.0 + 0.5 * order)
-    tail = c * abs(c) ** order * hyp2f1_reduced(order, c * c) / (1 + order)
-    return head - tail
+    """int_0^u |cos v|^N dv on 0 <= u <= pi as an incomplete beta function.
+
+    Substituting s = sin^2 v gives (1/2) B(1/2, (N+1)/2) I_{sin^2 u}(1/2, (N+1)/2)
+    up to u = pi/2; the second half mirrors the first about pi/2.
+    """
+    b = 0.5 * (order + 1)
+    full = float(special.beta(0.5, b))
+    head = 0.5 * full * float(special.betainc(0.5, b, math.sin(u) ** 2))
+    return head if u <= 0.5 * math.pi else full - head
 
 
 def weak_forms(params: SystemParams, t: float) -> WeakDriveForms:
@@ -343,8 +339,7 @@ def weak_forms(params: SystemParams, t: float) -> WeakDriveForms:
     n_fact = math.factorial(n)
     scale = r ** n / n_fact
 
-    moment = gamma_fn(0.5 * (n + 1)) / (math.sqrt(math.pi) * gamma_fn(0.5 * n + 1.0))
-    mean_moment = scale * moment
+    mean_moment = (0.5 * r) ** n / float(special.gamma(0.5 * n + 1.0)) ** 2
 
     bracket = ((2.0 * gamma_fn(0.5 * (3 + n)) + (1 + n) * gamma_fn(0.5 * (1 + n)))
                / (2.0 * math.sqrt(math.pi) * n_fact * (1 + n) * gamma_fn(0.5 * (3 + n))))
@@ -354,7 +349,7 @@ def weak_forms(params: SystemParams, t: float) -> WeakDriveForms:
     if u < 0.0:
         u += math.pi
     f_u = _abs_cos_antiderivative(n, u)
-    f_pi = math.sqrt(math.pi) * gamma_fn(0.5 * (1 + n)) / gamma_fn(1.0 + 0.5 * n)
+    f_pi = float(special.beta(0.5, 0.5 * (n + 1)))
     phi_periodic = (0.5 * params.delta_gap / params.modulation) * scale * (
         f_u - f_pi * u / math.pi)
     return WeakDriveForms(mean_moment=mean_moment, mean_bracket=mean_bracket,

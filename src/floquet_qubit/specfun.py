@@ -1,10 +1,10 @@
-"""Self-contained special-function kernel.
+"""Validated special-function kernel.
 
-Bessel functions of the first kind, the Gamma function, and the one Gauss
-hypergeometric form needed by the weak-drive phase function.  Everything is
-plain double precision with explicitly stitched accuracy regimes; the module
-has no dependency on the rest of the package, and scalar inputs take a fast
-pure-Python path while arrays are evaluated vectorised.
+Bessel functions of the first kind and the Gamma function in plain double
+precision.  Scalar Bessel calls go to ``scipy.special.jv``; arrays are
+evaluated by a vectorised kernel with explicitly stitched accuracy regimes,
+which is faster per element than ``jv`` on the package's envelope arguments.
+The module has no dependency on the rest of the package.
 """
 
 from __future__ import annotations
@@ -12,14 +12,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import special
 
-__all__ = ["bessel_j", "gamma_fn", "hyp2f1_reduced"]
+__all__ = ["bessel_j", "gamma_fn"]
 
 MAX_ORDER = 200
 MAX_ARGUMENT = 1.0e3
 
-# regime boundaries for J_n: ascending series below, Miller recurrence above,
-# Hankel asymptotics once the argument is large *and* dominates the order.
+# regime boundaries for the array kernel: ascending series below, Miller
+# recurrence above, Hankel asymptotics once the argument is large *and*
+# dominates the order.
 # The series boundary sits where alternating-sum cancellation still leaves
 # ~1e-13 relative accuracy.
 _SERIES_CUTOFF = 9.0
@@ -58,8 +60,7 @@ def bessel_j(order: int, x):
         xf = float(x)
         if not math.isfinite(xf) or abs(xf) > MAX_ARGUMENT:
             raise ValueError(f"bessel_j argument {x!r} outside |x| <= {MAX_ARGUMENT}")
-        sign = parity * (-1.0 if xf < 0 and n % 2 else 1.0)
-        return sign * _jn_scalar(n, abs(xf))
+        return parity * float(special.jv(n, xf))
 
     xa = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xa)) or np.any(np.abs(xa) > MAX_ARGUMENT):
@@ -80,31 +81,6 @@ def bessel_j(order: int, x):
         if asym.any():
             out[asym] = _jn_asymptotic_vec(n, ax[asym])
     return sign * out
-
-
-def _jn_scalar(n: int, ax: float) -> float:
-    if ax < _SERIES_CUTOFF:
-        return _jn_series_scalar(n, ax)
-    if ax > _ASYMPTOTIC_CUTOFF and n * n <= ax:
-        return float(_jn_asymptotic_vec(n, np.array([ax]))[0])
-    return float(_jn_miller_vec(n, np.array([ax]))[0])
-
-
-def _jn_series_scalar(n: int, ax: float) -> float:
-    # ascending series sum_k (-1)^k (x/2)^{n+2k} / (k! (n+k)!); the leading
-    # term goes through logs so high orders underflow gracefully
-    if ax == 0.0:
-        return 1.0 if n == 0 else 0.0
-    half = 0.5 * ax
-    term = math.exp(n * math.log(half) - math.lgamma(n + 1))
-    total = term
-    q = half * half
-    for k in range(1, 80):
-        term *= -q / (k * (n + k))
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            break
-    return total
 
 
 def _jn_series_vec(n: int, ax: np.ndarray) -> np.ndarray:
@@ -221,45 +197,3 @@ def gamma_fn(x: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"gamma_fn({x!r}) overflows double precision")
     return value
-
-
-# ---------------------------------------------------------------------------
-# Gauss hypergeometric 2F1(1/2, (1+N)/2; (3+N)/2; z)
-# ---------------------------------------------------------------------------
-
-def hyp2f1_reduced(order: int, z: float) -> float:
-    """2F1(1/2, (1+N)/2; (3+N)/2; z) for positive integer N <= 10 and 0 <= z <= 1.
-
-    The parameter combination has c - a - b = 1/2, so the series converges on
-    the whole closed interval; near z = 1 the direct series is algebraically
-    slow and the linear 1-z transformation is used instead.
-    """
-    if order != int(order) or not 1 <= int(order) <= 10:
-        raise ValueError(f"hyp2f1_reduced order must be an integer in [1, 10], got {order!r}")
-    zf = float(z)
-    if not 0.0 <= zf <= 1.0:
-        raise ValueError(f"hyp2f1_reduced argument z={z!r} outside [0, 1]")
-    n = int(order)
-    b = 0.5 * (1 + n)
-    c = 0.5 * (3 + n)
-    if zf <= 0.75:
-        return _hyp_series(0.5, b, c, zf)
-    # 1-z transformation; with c = a the first companion series collapses to
-    # the binomial z^{-b}, and the second prefactor reduces to -(1+N)
-    first = math.sqrt(math.pi) * gamma_fn(c) / gamma_fn(1.0 + 0.5 * n) * zf ** (-b)
-    if zf == 1.0:
-        return first
-    second = (1 + n) * math.sqrt(1.0 - zf) * _hyp_series(1.0 + 0.5 * n, 1.0, 1.5, 1.0 - zf)
-    return first - second
-
-
-def _hyp_series(a: float, b: float, c: float, w: float) -> float:
-    term = 1.0
-    total = 1.0
-    for k in range(0, 600):
-        ratio = (a + k) * (b + k) / ((c + k) * (1.0 + k)) * w
-        term *= ratio
-        total += term
-        if 0.0 <= ratio < 1.0 and abs(term) * ratio / (1.0 - ratio) < 1e-16 * abs(total):
-            return total
-    raise RuntimeError(f"hypergeometric series failed to converge at w={w}")

@@ -39,25 +39,42 @@ def mp_gamma(x: float) -> float:
     return float(mp.gamma(x))
 
 
-def hyp_series(order: int, z: float, terms: int = 10_000) -> float:
-    """Direct term-by-term 2F1(1/2, (1+N)/2; (3+N)/2; z) summation."""
-    a, b, c = 0.5, 0.5 * (1 + order), 0.5 * (3 + order)
-    term = 1.0
-    total = 1.0
-    for k in range(terms):
-        term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * z
-        total += term
-        if abs(term) < 1e-18 * abs(total):
-            break
-    return total
-
-
 def mean_coupling_quad(order: int, ratio: float, dps: int = 30) -> float:
     """(1/pi) int_0^pi J_N(2 r |cos u|) du by mpmath adaptive quadrature."""
     with mp.workdps(dps):
         value = mp.quad(lambda u: mp.besselj(order, 2 * ratio * mp.cos(u)),
                         [0, mp.pi / 2])
         return float(2 / mp.pi * value)
+
+
+def abs_cos_power_integral(order: int, u: float, dps: int = 30) -> float:
+    """int_0^u |cos v|^N dv by mpmath quadrature, split at the node v = pi/2."""
+    with mp.workdps(dps):
+        um = mp.mpf(repr(float(u)))
+        nodes = [0, mp.pi / 2, um] if um > mp.pi / 2 else [0, um]
+        return float(mp.quad(lambda v: abs(mp.cos(v)) ** order, nodes))
+
+
+def fourier_coefficient(order: int, n: int, ratio: float, dps: int = 30) -> float:
+    """G(n) = J_{N/2+n}(r) J_{N/2-n}(r) in mpmath; its r -> 0 limit is 0 (it goes as r^N)."""
+    if ratio == 0.0:
+        return 0.0
+    with mp.workdps(dps):
+        r = mp.mpf(repr(float(ratio)))
+        half = mp.mpf(order) / 2
+        return float(mp.besselj(half + n, r) * mp.besselj(half - n, r))
+
+
+def half_order_bessel_zeros(order: int, upper: float) -> list[float]:
+    """Positive zeros of J_{N/2} up to ``upper`` (mpmath.besseljzero)."""
+    zeros = []
+    k = 1
+    while True:
+        z = float(mp.besseljzero(mp.mpf(order) / 2, k))
+        if z > upper:
+            return zeros
+        zeros.append(z)
+        k += 1
 
 
 def central_difference(f, t: float, h: float) -> float:

@@ -1,7 +1,10 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from floquet_qubit.analysis import (
     periodicity_residual,
@@ -15,6 +18,8 @@ from floquet_qubit.dynamics import PopulationTrace, analytic_populations
 from floquet_qubit.floquet import quasienergy
 from floquet_qubit.model import SystemParams
 from floquet_qubit.specfun import bessel_j, gamma_fn
+
+from oracles import half_order_bessel_zeros
 
 
 def make_params(order=1, ratio=0.1, delta_gap=1e-2, modulation=1e-3, carrier=1.0):
@@ -35,6 +40,38 @@ def test_zeros_first_order_single_window():
 
 def test_zeros_empty_below_first():
     assert quasienergy_zeros(make_params(order=1), 0.0, 1.0) == []
+    # no tunneling gap: E_N vanishes identically, so it has no isolated zeros
+    assert quasienergy_zeros(make_params(order=1, delta_gap=0.0), 2.8, 3.5) == []
+
+
+@lru_cache(maxsize=None)
+def _mp_zeros(order):
+    return tuple(half_order_bessel_zeros(order, 41.0))
+
+
+@st.composite
+def _zero_windows(draw):
+    # edges drawn from 0, arbitrary points and the zeros themselves, so the
+    # undriven end and zeros sitting exactly on an edge are both exercised
+    order = draw(st.integers(1, 6))
+    edge = st.one_of(st.just(0.0), st.floats(0.0, 40.0), st.sampled_from(_mp_zeros(order)))
+    a, b = draw(edge), draw(edge)
+    assume(a != b)
+    return order, min(a, b), max(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(window=_zero_windows(), tol=st.sampled_from([1e-4, 1e-8, 1e-12]))
+def test_zeros_match_mpmath_besseljzero(window, tol):
+    # E_N ~ J_{N/2}(r)^2, so its zeros are mpmath's zeros of J_{N/2}; a zero
+    # within tol of an edge counts as inside the window
+    order, lo, hi = window
+    expected = [z for z in _mp_zeros(order) if lo - tol <= z <= hi + tol]
+    found = quasienergy_zeros(make_params(order=order), lo, hi, tol=tol)
+    assert len(found) == len(expected), (found, expected)
+    for f, e in zip(found, expected):
+        assert lo <= f <= hi
+        assert abs(f - e) <= tol + 8 * np.finfo(float).eps * e
 
 
 def test_zeros_are_local_minima_of_magnitude():

@@ -97,20 +97,10 @@ def test_output_is_deterministic(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     argv = ["sweep", "--ratio-min", "0", "--ratio-max", "0.5", "--ratio-step", "0.1",
-            "--workers", "1", "--format", "csv"]
+            "--format", "csv"]
     assert main(argv + ["--out", str(out_a)]) == 0
     assert main(argv + ["--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
-
-
-def test_parallel_sweep_matches_serial(tmp_path):
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    argv = ["sweep", "--ratio-min", "0", "--ratio-max", "1.0", "--ratio-step", "0.25",
-            "--format", "csv"]
-    assert main(argv + ["--workers", "1", "--out", str(serial)]) == 0
-    assert main(argv + ["--workers", "2", "--out", str(parallel)]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
 
 
 def test_csv_reparses_to_printed_precision(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floquet_qubit.floquet import (
     alpha_phase,
@@ -24,7 +26,7 @@ from floquet_qubit.floquet import _abs_cos_antiderivative
 from floquet_qubit.model import SystemParams
 from floquet_qubit.specfun import gamma_fn
 
-from oracles import mean_coupling_quad, mp_besselj
+from oracles import abs_cos_power_integral, fourier_coefficient, mean_coupling_quad, mp_besselj
 
 
 def make_params(order=1, ratio=0.1, gap_over_mod=40.0, modulation=1e-3, carrier=1.0):
@@ -81,6 +83,13 @@ def test_mean_bessel_matches_quadrature_oracle():
     for order, ratio in ((1, 0.1), (1, 1.0), (2, 0.5), (3, 2.0)):
         ref = mean_coupling_quad(order, ratio)
         assert mean_bessel(make_params(order=order, ratio=ratio)) == pytest.approx(ref, abs=1e-11)
+
+
+@settings(max_examples=40, deadline=None)
+@given(order=st.integers(1, 6), ratio=st.floats(0.0, 11.0))
+def test_mean_bessel_matches_quadrature_oracle_anywhere(order, ratio):
+    ref = mean_coupling_quad(order, ratio)
+    assert mean_bessel(make_params(order=order, ratio=ratio)) == pytest.approx(ref, abs=1e-11)
 
 
 def test_mean_bessel_equals_half_order_bessel_squared():
@@ -235,6 +244,19 @@ def test_fourier_reconstruction_matches_quadrature():
         assert np.max(np.abs(rec - dec.periodic_part(t))) < 1e-6
 
 
+def test_fourier_high_harmonics_match_bessel_products():
+    # G(n) = J_{N/2+n}(r) J_{N/2-n}(r) (Neumann's product integral); evaluated
+    # as that product in doubles it turns into inf * 0 once J_{N/2-n}
+    # overflows (n >= 150 at N=1, r=0.3), so the quadrature table is kept
+    n_max = 200
+    for order in (1, 2, 3):
+        for ratio in (0.0, 1e-3, 0.3, 3.0):
+            table = fourier_phase(make_params(order=order, ratio=ratio), n_max)
+            ref = np.array([fourier_coefficient(order, n, ratio)
+                            for n in range(-n_max, n_max + 1)])
+            assert np.max(np.abs(table.coefficients - ref)) < 1e-14
+
+
 def test_fourier_rejects_bad_harmonic_count():
     with pytest.raises(ValueError):
         fourier_phase(make_params(), 0)
@@ -304,6 +326,11 @@ def test_abs_cos_antiderivative_values():
     assert _abs_cos_antiderivative(2, math.pi / 2) == pytest.approx(math.pi / 4, abs=1e-12)
     assert _abs_cos_antiderivative(1, 0.0) == pytest.approx(0.0, abs=1e-12)
     assert _abs_cos_antiderivative(1, math.pi) == pytest.approx(2.0, abs=1e-12)
+    # orders above 10 against an independent quadrature
+    for order in (12, 20):
+        for u in (0.0, 0.4, 1.2, math.pi / 2, 2.0, 2.9, math.pi):
+            assert _abs_cos_antiderivative(order, u) == pytest.approx(
+                abs_cos_power_integral(order, u), abs=1e-14)
 
 
 def test_weak_phi_matches_phase_table():
@@ -318,7 +345,7 @@ def test_weak_phi_matches_phase_table():
 
 
 def test_weak_mean_converges_to_quadrature():
-    for order in (1, 2):
+    for order in (1, 2, 12):
         for ratio in (0.02, 0.05):
             p = make_params(order=order, ratio=ratio)
             exact = mean_bessel(p)

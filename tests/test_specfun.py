@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from floquet_qubit.specfun import bessel_j, gamma_fn, hyp2f1_reduced
+from floquet_qubit.specfun import bessel_j, gamma_fn
 
-from oracles import bessel_series, hyp_series, mp_besselj, mp_gamma
+from oracles import bessel_series, mp_besselj, mp_gamma
 
 
 # ---------------------------------------------------------------------------
@@ -128,48 +128,3 @@ def test_gamma_domain_errors():
     with pytest.raises(ValueError):
         gamma_fn(200.0)  # overflows double precision
 
-
-# ---------------------------------------------------------------------------
-# hyp2f1_reduced
-# ---------------------------------------------------------------------------
-
-def test_hyp_equals_one_at_origin():
-    for n in (1, 2, 7):
-        assert hyp2f1_reduced(n, 0.0) == 1.0
-
-
-def test_hyp_frozen_series_value():
-    # direct 1e4-term series at (N=1, z=0.25); frozen from the oracle
-    frozen = 1.07179676972449083
-    assert hyp_series(1, 0.25) == pytest.approx(frozen, abs=1e-14)
-    assert hyp2f1_reduced(1, 0.25) == pytest.approx(frozen, abs=1e-10)
-
-
-def test_hyp_matches_series_oracle_direct_region():
-    for n in range(1, 11):
-        for z in (0.0, 0.1, 0.4, 0.6, 0.74):
-            assert hyp2f1_reduced(n, z) == pytest.approx(hyp_series(n, z), abs=1e-12)
-
-
-def test_hyp_near_unit_argument():
-    import mpmath as mp
-    for n in range(1, 11):
-        for z in (0.76, 0.9, 0.99, 0.9999, 1.0):
-            ref = float(mp.hyp2f1(0.5, 0.5 * (1 + n), 0.5 * (3 + n), z))
-            assert hyp2f1_reduced(n, z) == pytest.approx(ref, abs=1e-10)
-
-
-def test_hyp_branch_continuity():
-    for n in (1, 4, 10):
-        below = hyp2f1_reduced(n, 0.75 - 1e-9)
-        above = hyp2f1_reduced(n, 0.75 + 1e-9)
-        assert below == pytest.approx(above, rel=1e-7)
-
-
-def test_hyp_domain_errors():
-    for bad_z in (-0.1, 1.1):
-        with pytest.raises(ValueError):
-            hyp2f1_reduced(1, bad_z)
-    for bad_n in (0, 11, 2.5):
-        with pytest.raises(ValueError):
-            hyp2f1_reduced(bad_n, 0.5)
