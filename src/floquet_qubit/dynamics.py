@@ -2,9 +2,31 @@
 paper's form and in a corrected form, and the full Schrodinger oracle for
 both coupling configurations.
 
-The integrators report populations normalised by the propagated state norm;
-norm conservation itself is a property of the amplitude arrays returned by
-the ``evolve_*`` functions and is tested there, not hidden in the traces.
+Every evolution here is a 2x2 equation i y' = (b(t).sigma) y with a real
+field b, and one kernel propagates them all: the fourth-order Magnus method
+(Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).  A step of length h
+is exp(-i c.sigma) with c = (h/2)(b1 + b2) - (sqrt(3)/6) h^2 (b1 x b2), b1
+and b2 taken at the step's two Gauss-Legendre nodes; its closed form
+cos|c| - i sin|c| (c/|c|).sigma is a unit quaternion, so the propagation is
+unitary by construction.  The window is cut into segments at every sample
+time, every node of cos(delta t) (the kink of the paper's |cos| envelope)
+and, for the full Hamiltonian, every carrier period.  Each segment takes the
+same number of equal steps, multiplied pairwise; the segments are then
+chained in time order.  The steps per segment double from 2 until two
+successive runs differ by at most 15 tol at every sample: halving the step
+of a fourth-order method cuts its error 16-fold, so ``tol`` bounds the
+Richardson estimate of the global error of the returned amplitudes.  The
+steps are built in blocks, so memory does not grow with the window.
+
+Rounding sets the smallest reachable ``tol``, and it grows with the window
+(about 1e-13 over 10^4 carrier periods).  ``IntegrationError`` is raised
+once the change between doublings stops halving below the rounding bound
+(eps times the steps taken), once the 16-fold rate would need more than 2^14
+steps per segment to reach ``tol``, or past that budget.  ``initial`` states
+must have unit norm within 1e-12.
+
+The population traces are |c1|^2 and |c2|^2 of the propagated amplitudes;
+``PopulationTrace`` checks that they sum to 1.
 """
 
 from __future__ import annotations
@@ -14,10 +36,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .floquet import build_phase_decomposition, effective_bessel_argument
-from .model import DETUNING_RATIO_WARN, KET_DOWN, SystemParams
+from .model import DETUNING_RATIO_WARN, SystemParams, drive_field
 from .specfun import bessel_j
 
 __all__ = [
@@ -38,11 +59,14 @@ __all__ = [
 
 DEFAULT_TOL = 1.0e-9
 DEFAULT_SAMPLES = 2001
-_UNBOUNDED_STEPS = 2 ** 31 - 1  # DOP853 step budget per sample interval: none
+_STEP_BUDGET = 2 ** 14  # steps per segment past which tol counts as unreachable
+_BLOCK_STEPS = 2 ** 16  # steps held in memory at once
+_GAUSS = math.sqrt(3.0) / 6.0  # Gauss-Legendre node offset, in steps
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive integration failed (step-size underflow or solver abort)."""
+    """The propagation cannot reach ``tol``: rounding or the step budget
+    stops it."""
 
 
 @dataclass(frozen=True)
@@ -143,9 +167,7 @@ def evolve_reduced(params: SystemParams, times, tol: float = DEFAULT_TOL,
 def integrate_reduced(params: SystemParams, t_end: float, tol: float = DEFAULT_TOL,
                       times=None, initial: AmplitudePair | None = None) -> PopulationTrace:
     """Reduced-system population trace from |down> (or ``initial``) to t_end."""
-    times = _trace_times(t_end, times)
-    amplitudes = evolve_reduced(params, times, tol=tol, initial=initial)
-    return _trace_from_amplitudes(times, amplitudes)
+    return _trace(lambda ts: evolve_reduced(params, ts, tol=tol, initial=initial), t_end, times)
 
 
 def evolve_corrected(params: SystemParams, times, tol: float = DEFAULT_TOL,
@@ -192,9 +214,7 @@ def evolve_corrected(params: SystemParams, times, tol: float = DEFAULT_TOL,
 def integrate_corrected(params: SystemParams, t_end: float, tol: float = DEFAULT_TOL,
                         times=None, initial: AmplitudePair | None = None) -> PopulationTrace:
     """Corrected reduced-system population trace (see ``evolve_corrected``)."""
-    times = _trace_times(t_end, times)
-    amplitudes = evolve_corrected(params, times, tol=tol, initial=initial)
-    return _trace_from_amplitudes(times, amplitudes)
+    return _trace(lambda ts: evolve_corrected(params, ts, tol=tol, initial=initial), t_end, times)
 
 
 def _evolve_two_amplitude(params: SystemParams, times, tol: float,
@@ -202,32 +222,16 @@ def _evolve_two_amplitude(params: SystemParams, times, tol: float,
                           detuning: float) -> np.ndarray:
     """i c1' = -(delta_gap/2) J_N(w) e^{-i alpha} c2 and its mirror, with
     w = 2 r cos(delta t) (``signed``) or 2 r |cos(delta t)| and
-    alpha = detuning * t - N pi."""
-    arr = _validate_times(times)
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    y0 = np.array([1.0, 0.0], dtype=complex) if initial is None else \
-        np.array([initial.c1, initial.c2], dtype=complex)
-    if arr[-1] == 0.0:
-        return np.tile(y0[:, None], (1, arr.size))
+    alpha = detuning * t - N pi; as a generator b.sigma on (c1, c2),
+    b = -(delta_gap/2) J_N(w) (-1)^N (cos(detuning t), sin(detuning t), 0)."""
+    scale = -0.5 * params.delta_gap * (-1.0) ** params.order
 
-    half = 0.5 * params.delta_gap
-    n = params.order
-    two_r = 2.0 * params.drive_ratio
-    dm = params.modulation
-    sign = 1.0 if n % 2 == 0 else -1.0
+    def field(t):
+        c = np.cos(params.modulation * t)
+        g = scale * bessel_j(params.order, 2.0 * params.drive_ratio * (c if signed else np.abs(c)))
+        return g * np.array([np.cos(detuning * t), np.sin(detuning * t), np.zeros_like(t)])
 
-    def rhs(t, y):
-        c = math.cos(dm * t)
-        coupling = 1j * half * bessel_j(n, two_r * (c if signed else abs(c)))
-        em = sign * cmath.exp(-1j * detuning * t)  # e^{-i alpha}
-        return [coupling * em * y[1], coupling * em.conjugate() * y[0]]
-
-    sol = integrate.solve_ivp(rhs, (0.0, float(arr[-1])), y0, method="RK45",
-                              rtol=tol, atol=1e-3 * tol, t_eval=arr, dense_output=False)
-    if sol.status != 0:
-        raise IntegrationError(f"reduced integration failed: {sol.message}")
-    return sol.y
+    return _propagate(field, params, times, tol, initial, carrier_edges=False)
 
 
 # ---------------------------------------------------------------------------
@@ -235,93 +239,144 @@ def _evolve_two_amplitude(params: SystemParams, times, tol: float,
 # ---------------------------------------------------------------------------
 
 def evolve_full(params: SystemParams, axis: str, times, tol: float = DEFAULT_TOL,
-                initial: AmplitudePair | None = None,
-                max_step: float | None = None) -> np.ndarray:
+                initial: AmplitudePair | None = None) -> np.ndarray:
     """Integrate i d|psi>/dt = H(t)|psi> exactly; returns rows (c1, c2).
 
-    The right-hand side is the explicit component form of
-    ``model.hamiltonian(params, axis, t)``, on the real and imaginary parts
-    of the amplitudes; the step size is capped at a twentieth of the carrier
-    period so the fast oscillation is always resolved.
-
-    The integrator is the Dormand-Prince 8(5,3) pair DOP853 of Hairer,
-    Norsett & Wanner, in scipy's compiled Fortran implementation
-    (``integrate.ode``), restarted at each sample time.  At tol 1e-8 its
-    steps sit at the cap, so a window costs 20 steps (240 right-hand-side
-    calls) per carrier period, where RK45 takes 1.7 to 3.3 times as many
-    steps as the cap allows; at tol 1e-11 and a strong drive it needs up to
-    about 2.5 times the cap.  The compiled stepping takes about a third of
-    the time of ``solve_ivp``'s Python-level stepping of the same method:
-    what is left per step is the 12 calls of the Python right-hand side.
+    H(t) is ``model.hamiltonian(params, axis, t)`` on the (c1, c2) = (down,
+    up) ordering, i.e. b(t).sigma with b = (-delta_gap/2, 0, e(t)) on the z
+    axis and (-e(t), 0, delta_gap/2) on the x axis, e(t) = (epsilon0 + f(t))/2.
+    It is propagated by the Magnus kernel of the module docstring, with step
+    edges at every sample time, every node of cos(delta t) and every carrier
+    period, so each segment spans at most one carrier period whatever the
+    sampling.  ``tol`` bounds the estimated global error of the amplitudes
+    at every sample; ``IntegrationError`` is raised when rounding or the
+    budget of 2^14 steps per segment keeps it out of reach, which happens
+    at larger ``tol`` the longer the window.
     """
     if axis not in ("z", "x"):
         raise ValueError(f"axis must be 'z' or 'x', got {axis!r}")
-    arr = _validate_times(times)
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    if max_step is None:
-        max_step = 2.0 * math.pi / params.carrier / 20.0
-    # internal state ordering is (up, down), as (Re up, Im up, Re down, Im down)
-    y0 = KET_DOWN.copy() if initial is None else \
-        np.array([initial.c2, initial.c1], dtype=complex)
-    state0 = np.column_stack((y0.real, y0.imag)).ravel()
 
-    eps0 = params.epsilon0
-    a2 = 2.0 * params.amplitude
-    w0 = params.carrier
-    dm = params.modulation
-    hg = 0.5 * params.delta_gap
+    def field(t):
+        e = 0.5 * (params.epsilon0 + drive_field(params, t))
+        hg = np.full_like(e, 0.5 * params.delta_gap)
+        return np.array([-hg, np.zeros_like(e), e] if axis == "z" else [-e, np.zeros_like(e), hg])
 
-    if axis == "z":
-        # H = [[h, -hg], [-hg, -h]]
-        def rhs(t, y):
-            h = -0.5 * (eps0 + a2 * math.cos(w0 * t) * math.cos(dm * t))
-            ur, ui, dr, di = y
-            return [h * ui - hg * di, hg * dr - h * ur, -hg * ui - h * di, hg * ur + h * dr]
-    else:
-        # H = [[-hg, e], [e, hg]]
-        def rhs(t, y):
-            e = -0.5 * (eps0 + a2 * math.cos(w0 * t) * math.cos(dm * t))
-            ur, ui, dr, di = y
-            return [e * di - hg * ui, hg * ur - e * dr, e * ui + hg * di, -e * ur - hg * dr]
-
-    solver = integrate.ode(rhs).set_integrator(
-        "dop853", rtol=tol, atol=1e-3 * tol, max_step=max_step, nsteps=_UNBOUNDED_STEPS)
-    solver.set_initial_value(state0, 0.0)
-    out = np.empty((4, arr.size))
-    for k, t in enumerate(arr):
-        out[:, k] = solver.integrate(t) if t > 0.0 else state0
-        if not solver.successful():
-            raise IntegrationError(f"full integration failed at t={t:.6g} "
-                                   f"(DOP853 return code {solver.get_return_code()})")
-    return np.vstack((out[2] + 1j * out[3], out[0] + 1j * out[1]))
+    return _propagate(field, params, times, tol, initial, carrier_edges=True)
 
 
 def integrate_full(params: SystemParams, axis: str, t_end: float,
                    tol: float = DEFAULT_TOL, times=None,
-                   initial: AmplitudePair | None = None,
-                   max_step: float | None = None) -> PopulationTrace:
+                   initial: AmplitudePair | None = None) -> PopulationTrace:
     """Full-oracle population trace in the diabatic basis."""
-    times = _trace_times(t_end, times)
-    amplitudes = evolve_full(params, axis, times, tol=tol, initial=initial,
-                             max_step=max_step)
-    return _trace_from_amplitudes(times, amplitudes)
+    return _trace(lambda ts: evolve_full(params, axis, ts, tol=tol, initial=initial), t_end, times)
 
 
-def _trace_times(t_end: float, times) -> np.ndarray:
-    """The given sample times, or DEFAULT_SAMPLES even samples on [0, t_end]."""
+# ---------------------------------------------------------------------------
+# Magnus propagator
+# ---------------------------------------------------------------------------
+# A unit quaternion (q0, q1, q2, q3) stands for the SU(2) matrix
+# q0 - i (q1 sigma_x + q2 sigma_y + q3 sigma_z); arrays of them have the four
+# components on axis 0.
+
+def _propagate(field, params: SystemParams, times, tol: float,
+               initial: AmplitudePair | None, carrier_edges: bool) -> np.ndarray:
+    """Amplitudes (c1, c2) at ``times`` of i y' = (b(t).sigma) y from
+    y(0) = ``initial`` (default |down>); ``field(t)`` returns b as a (3, n)
+    array for n times.  See the module docstring for the segments and the
+    step doubling.
+    """
+    arr = _validate_times(times)
+    if tol <= 0:
+        raise ValueError("tol must be > 0")
+    if initial is not None and abs(initial.norm - 1.0) > 1e-12:
+        raise ValueError(f"initial must have unit norm within 1e-12, got {initial.norm!r}")
+    t_end = arr[-1]
+    # rounding may put the last node a hair past t_end: a segment no sample reads
+    edges = [[0.0], arr, np.arange(0.5, params.modulation * t_end / math.pi) * math.pi
+             / params.modulation]
+    if carrier_edges:
+        edges.append(np.arange(1.0, params.carrier * t_end / (2.0 * math.pi)) * 2.0 * math.pi
+                     / params.carrier)
+    grid = np.unique(np.concatenate(edges))
+    # the state rides at the head of the chain as the quaternion whose
+    # matrix has (c1, c2) as its first column
+    c1, c2 = (1.0, 0.0) if initial is None else (complex(initial.c1), complex(initial.c2))
+    head = np.array([[c1.real], [-c2.imag], [c2.real], [-c1.imag]])
+    previous, change, steps = None, math.inf, 2
+    while steps <= _STEP_BUDGET:
+        per_block = max(1, _BLOCK_STEPS // steps)
+        blocks = [head] + [_segment_propagators(field, grid[lo:lo + per_block + 1], steps)
+                           for lo in range(0, grid.size - 1, per_block)]
+        q = _running_products(np.concatenate(blocks, axis=1))[:, np.searchsorted(grid, arr)]
+        states = np.array([q[0] - 1j * q[3], q[2] - 1j * q[1]])
+        if previous is not None:
+            last, change = change, float(np.max(np.abs(states - previous)))
+            if change <= 15.0 * tol:
+                return states
+            # a doubling cuts a fourth-order change 16-fold once the steps
+            # resolve the field.  Stop when the change no longer halves
+            # although it is below eps times the steps taken, a bound on the
+            # rounding (coarse steps that do not resolve the field can stall
+            # too, at changes of order one), or when the 16-fold rate cannot
+            # reach tol within the budget
+            if last / 2 < change < np.finfo(float).eps * steps * grid.size:
+                raise IntegrationError(f"tol {tol:g} is below the rounding of this window: "
+                                       f"step doublings stall at a change of {change:.1e}")
+            if steps * (change / (15.0 * tol)) ** 0.25 > _STEP_BUDGET:
+                break
+        previous, steps = states, 2 * steps
+    raise IntegrationError(f"tol {tol:g} is not reached within {_STEP_BUDGET} steps per segment")
+
+
+def _segment_propagators(field, edges: np.ndarray, steps: int) -> np.ndarray:
+    """One quaternion per segment between successive ``edges``: the product
+    of its ``steps`` equal fourth-order Magnus steps."""
+    length = np.diff(edges)
+    h = np.repeat(length / steps, steps)
+    mid = (edges[:-1, None] + length[:, None] * ((np.arange(steps) + 0.5) / steps)).ravel()
+    b1, b2 = field(mid - _GAUSS * h), field(mid + _GAUSS * h)
+    c = 0.5 * h * (b1 + b2) - _GAUSS * h * h * _cross(b1, b2)
+    angle = np.sqrt(np.sum(c * c, axis=0))
+    q = np.concatenate(([np.cos(angle)], c * np.sinc(angle / math.pi))).reshape(4, -1, steps)
+    while q.shape[2] > 1:
+        q = _qmul(q[:, :, 1::2], q[:, :, 0::2])
+    # the rounding of cos|c| repeats with one sign over equal steps; left in,
+    # it adds up to a norm drift of 1e-11 over a 10^4-period window
+    return q[:, :, 0] / np.sqrt(np.sum(q[:, :, 0] ** 2, axis=0))
+
+
+def _running_products(q: np.ndarray) -> np.ndarray:
+    """Products q[:, k] ... q[:, 0] for every k, by recursive doubling."""
+    shift = 1
+    while shift < q.shape[1]:
+        q = np.concatenate((q[:, :shift], _qmul(q[:, shift:], q[:, :-shift])), axis=1)
+        shift *= 2
+    return q
+
+
+def _qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Quaternion products a b (the matrix of b acts first):
+    (a0 b0 - a.b, a0 b + b0 a + a x b)."""
+    return np.concatenate(([a[0] * b[0] - np.sum(a[1:] * b[1:], axis=0)],
+                           a[0] * b[1:] + b[0] * a[1:] + _cross(a[1:], b[1:])))
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products of 3-vectors stored on axis 0."""
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def _trace(evolve, t_end: float, times) -> PopulationTrace:
+    """Populations |c1|^2, |c2|^2 of ``evolve(times)`` at the given sample
+    times, or at DEFAULT_SAMPLES even samples on [0, t_end]."""
     if times is None:
         if t_end <= 0:
             raise ValueError("t_end must be > 0")
-        return np.linspace(0.0, float(t_end), DEFAULT_SAMPLES)
-    return np.asarray(times, dtype=float)
-
-
-def _trace_from_amplitudes(times: np.ndarray, amplitudes: np.ndarray) -> PopulationTrace:
-    w_down = np.abs(amplitudes[0]) ** 2
-    w_up = np.abs(amplitudes[1]) ** 2
-    norm = w_down + w_up
-    return PopulationTrace(times=times, p1=w_down / norm, p2=w_up / norm)
+        times = np.linspace(0.0, float(t_end), DEFAULT_SAMPLES)
+    times = np.asarray(times, dtype=float)
+    c1, c2 = evolve(times)
+    return PopulationTrace(times=times, p1=np.abs(c1) ** 2, p2=np.abs(c2) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from scipy import integrate, special
 from scipy.interpolate import CubicHermiteSpline
 
 from .model import SystemParams
-from .specfun import bessel_j, gamma_fn
+from .specfun import bessel_j
 
 __all__ = [
     "QuadratureError",
@@ -336,14 +336,17 @@ def weak_forms(params: SystemParams, t: float) -> WeakDriveForms:
     """Weak-drive (A/omega0 <~ 0.3) closed forms at time t."""
     n = params.order
     r = params.drive_ratio
-    n_fact = math.factorial(n)
-    scale = r ** n / n_fact
+    # powers over factorials and Gamma functions go through logarithms, so
+    # neither overflows at high order; the quotients underflow to 0.0
+    log_r = math.log(r) if r > 0.0 else -math.inf
+    scale = math.exp(n * log_r - math.lgamma(n + 1.0))  # r^N / N!
 
-    mean_moment = (0.5 * r) ** n / float(special.gamma(0.5 * n + 1.0)) ** 2
+    mean_moment = math.exp(n * (log_r - math.log(2.0)) - 2.0 * math.lgamma(0.5 * n + 1.0))
 
-    bracket = ((2.0 * gamma_fn(0.5 * (3 + n)) + (1 + n) * gamma_fn(0.5 * (1 + n)))
-               / (2.0 * math.sqrt(math.pi) * n_fact * (1 + n) * gamma_fn(0.5 * (3 + n))))
-    mean_bracket = bracket * r ** n
+    # the printed bracket (2 Gamma((3+N)/2) + (1+N) Gamma((1+N)/2)) r^N /
+    # (2 sqrt(pi) N! (1+N) Gamma((3+N)/2)) is 2 r^N / (sqrt(pi) (N+1)!), since
+    # Gamma((3+N)/2) = ((1+N)/2) Gamma((1+N)/2)
+    mean_bracket = 2.0 * scale / (math.sqrt(math.pi) * (1 + n))
 
     u = math.fmod(params.modulation * float(t), math.pi)
     if u < 0.0:

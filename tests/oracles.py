@@ -55,6 +55,20 @@ def abs_cos_power_integral(order: int, u: float, dps: int = 30) -> float:
         return float(mp.quad(lambda v: abs(mp.cos(v)) ** order, nodes))
 
 
+def weak_drive_means(order: int, ratio: float, dps: int = 40) -> tuple[float, float]:
+    """The weak-drive ``(mean_moment, mean_bracket)`` in mpmath:
+    (r/2)^N / Gamma(N/2 + 1)^2 and the printed bracket form
+    (2 Gamma((3+N)/2) + (1+N) Gamma((1+N)/2)) / (2 sqrt(pi) N! (1+N) Gamma((3+N)/2)) r^N."""
+    with mp.workdps(dps):
+        r = mp.mpf(repr(float(ratio)))
+        n = mp.mpf(order)
+        moment = (r / 2) ** n / mp.gamma(n / 2 + 1) ** 2
+        bracket = ((2 * mp.gamma((3 + n) / 2) + (1 + n) * mp.gamma((1 + n) / 2))
+                   / (2 * mp.sqrt(mp.pi) * mp.factorial(n) * (1 + n) * mp.gamma((3 + n) / 2))
+                   * r ** n)
+        return float(moment), float(bracket)
+
+
 def fourier_coefficient(order: int, n: int, ratio: float, dps: int = 30) -> float:
     """G(n) = J_{N/2+n}(r) J_{N/2-n}(r) in mpmath; its r -> 0 limit is 0 (it goes as r^N)."""
     if ratio == 0.0:

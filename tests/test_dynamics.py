@@ -1,11 +1,16 @@
 import cmath
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floquet_qubit.dynamics import (
     AmplitudePair,
+    IntegrationError,
     PopulationTrace,
     analytic_populations,
     evolve_corrected,
@@ -18,7 +23,7 @@ from floquet_qubit.dynamics import (
     xconfig_dynamics,
 )
 from floquet_qubit.floquet import build_phase_decomposition, phase_gamma
-from floquet_qubit.model import SystemParams, hamiltonian
+from floquet_qubit.model import HADAMARD, SystemParams, hamiltonian
 
 from oracles import central_difference
 
@@ -265,6 +270,116 @@ def test_full_x_config_matches_rotating_frame_form():
 def test_full_invalid_axis():
     with pytest.raises(ValueError):
         integrate_full(make_params(), "y", 1.0)
+
+
+def _criterion_3_window():
+    """About 10^4 carrier periods with 2001 samples, as in criterion 3."""
+    p = make_params(order=1, ratio=0.1, gap_over_mod=40.0, modulation=2.5e-4)
+    return p, np.linspace(0.0, 5.0 * math.pi / p.modulation, 2001)
+
+
+@pytest.mark.parametrize("window, evolve, reason", [
+    ("short", lambda p, times: evolve_full(p, "z", times, tol=1e-17), "not reached within"),
+    ("long", lambda p, times: evolve_full(p, "z", times, tol=1e-17), "not reached within"),
+    ("long", lambda p, times: evolve_reduced(p, times, tol=1e-17), "below the rounding"),
+], ids=["short full", "long full", "long reduced"])
+def test_unreachable_tol_raises_quickly_and_small(window, evolve, reason):
+    # 15 * 1e-17 is below the rounding of the propagation.  The step doubling
+    # must give up long before its budget of 2^14 steps per segment, which on
+    # the long window would take minutes: from the fourth-order rate on the
+    # full equations, and from the stalled change on the reduced ones, whose
+    # smooth field reaches the rounding after a few doublings
+    if window == "short":
+        p = make_params(order=1, ratio=0.5, gap_over_mod=2.0, modulation=0.045)
+        times = np.linspace(0.0, 600.0, 5)  # ~100 carrier periods
+    else:
+        p, times = _criterion_3_window()
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(IntegrationError, match=reason):
+            evolve(p, times)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 10.0
+    assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("evolve", [
+    lambda p, times, initial: evolve_reduced(p, times, initial=initial),
+    lambda p, times, initial: evolve_corrected(p, times, initial=initial),
+    lambda p, times, initial: evolve_full(p, "x", times, initial=initial),
+    lambda p, times, initial: integrate_full(p, "z", 10.0, times=times, initial=initial),
+], ids=["reduced", "corrected", "full x", "full z trace"])
+def test_non_unit_initial_state_is_rejected(evolve):
+    p = make_params(order=1, ratio=0.3, gap_over_mod=2.0, modulation=0.05)
+    with pytest.raises(ValueError, match="initial"):
+        evolve(p, [0.0, 10.0], AmplitudePair(c1=1.0, c2=1e-3))
+
+
+# ---------------------------------------------------------------------------
+# invariants of the propagator, over random parameters
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _short_runs(draw):
+    """Params at N = 1..6 with A/omega_0 in [0, 3] and delta_gap (both
+    including 0) and small detuning, and 1..12 sample times within a few
+    carrier periods, starting at 0 or later."""
+    order = draw(st.integers(1, 6))
+    ratio = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+    delta_gap = draw(st.one_of(st.just(0.0), st.floats(1e-3, 0.5)))
+    modulation = draw(st.floats(0.01, 0.2))
+    detuning = draw(st.floats(-0.05, 0.05))
+    params = SystemParams(epsilon0=order + detuning, delta_gap=delta_gap, amplitude=ratio,
+                          carrier=1.0, modulation=modulation, order=order)
+    t_end = draw(st.floats(0.5, 30.0))
+    t_start = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.9 * t_end)))
+    times = np.linspace(t_start, t_end, draw(st.integers(1, 12)))
+    return params, np.unique(times)
+
+
+def _evolvers(params):
+    return {"reduced": lambda t, **kw: evolve_reduced(params, t, **kw),
+            "corrected": lambda t, **kw: evolve_corrected(params, t, **kw),
+            "full-z": lambda t, **kw: evolve_full(params, "z", t, **kw),
+            "full-x": lambda t, **kw: evolve_full(params, "x", t, **kw)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=_short_runs())
+def test_propagator_conserves_norm(run):
+    params, times = run
+    for name, evolve in _evolvers(params).items():
+        amps = evolve(times, tol=1e-10)
+        drift = np.max(np.abs(np.abs(amps[0]) ** 2 + np.abs(amps[1]) ** 2 - 1.0))
+        assert drift <= 1e-12, name
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=_short_runs())
+def test_full_z_and_x_are_hadamard_related(run):
+    # H_x(t) = Had H_z(t) Had, so evolving Had|down> on x gives Had psi_z
+    params, times = run
+    z = evolve_full(params, "z", times, tol=1e-10)
+    x_initial = AmplitudePair(c1=complex(HADAMARD[1, 1]), c2=complex(HADAMARD[0, 1]))
+    x = evolve_full(params, "x", times, tol=1e-10, initial=x_initial)
+    up, down = HADAMARD @ np.vstack((z[1], z[0]))
+    assert np.max(np.abs(x[1] - up)) <= 1e-8
+    assert np.max(np.abs(x[0] - down)) <= 1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(run=_short_runs(), t1=st.floats(0.1, 15.0), t2=st.floats(15.5, 30.0))
+def test_propagator_samples_are_independent_of_a_leading_zero(run, t1, t2):
+    params = run[0]
+    for name, evolve in _evolvers(params).items():
+        tail = evolve(np.array([0.0, t1, t2]), tol=1e-9)[:, 1:]
+        assert np.max(np.abs(evolve(np.array([t1, t2]), tol=1e-9) - tail)) <= 1e-12, name
+        start = evolve(np.array([0.0]), initial=AmplitudePair(c1=0.36 + 0.48j, c2=-0.8j))
+        assert np.array_equal(start, [[0.36 + 0.48j], [-0.8j]]), name
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ from floquet_qubit.floquet import _abs_cos_antiderivative
 from floquet_qubit.model import SystemParams
 from floquet_qubit.specfun import gamma_fn
 
-from oracles import abs_cos_power_integral, fourier_coefficient, mean_coupling_quad, mp_besselj
+from oracles import (abs_cos_power_integral, fourier_coefficient, mean_coupling_quad, mp_besselj,
+                     weak_drive_means)
 
 
 def make_params(order=1, ratio=0.1, gap_over_mod=40.0, modulation=1e-3, carrier=1.0):
@@ -396,3 +397,13 @@ def test_weak_forms_uses_consistent_gamma_values():
     assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-12)
     p2 = make_params(order=2, ratio=0.1)
     assert weak_forms(p2, 0.0).mean_moment == pytest.approx(0.01 / 2 / 2, rel=1e-12)
+    # every order, past N! overflowing a double at N = 171: values against
+    # mpmath, underflowing to 0.0 where the true value is below the doubles
+    for order, ratio in ((1, 0.2), (12, 0.3), (170, 3.0), (171, 3.0), (171, 0.3),
+                         (400, 30.0), (400, 0.3)):
+        p = make_params(order=order, ratio=ratio)
+        forms = weak_forms(p, 0.3 * p.period)
+        moment, bracket = weak_drive_means(order, ratio)
+        assert forms.mean_moment == pytest.approx(moment, rel=1e-12, abs=1e-300), order
+        assert forms.mean_bracket == pytest.approx(bracket, rel=1e-12, abs=1e-300), order
+        assert math.isfinite(forms.phi_periodic), order
