@@ -6,14 +6,15 @@ from __future__ import annotations
 import math
 import warnings as _warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, special
 
 from .dynamics import PopulationTrace
 from .floquet import _half_order_bessel, mean_bessel, quasienergy
 from .model import SystemParams
-from .specfun import bessel_j
+from .specfun import MAX_ARGUMENT, MAX_ORDER
 
 __all__ = [
     "SpectralLine",
@@ -32,8 +33,7 @@ PERIODICITY_RESIDUAL_TOL = 1.0e-3
 DEFAULT_WEIGHT_THRESHOLD = 1.0e-8
 
 
-@dataclass(frozen=True)
-class SpectralLine:
+class SpectralLine(NamedTuple):
     """One probe transition line between the two quasienergy branches."""
 
     m: int
@@ -177,20 +177,22 @@ def spectral_lines(params: SystemParams,
     if index_cutoff != int(index_cutoff) or int(index_cutoff) < 0:
         raise ValueError("index_cutoff must be a non-negative integer")
     cutoff = int(index_cutoff)
+    if 2 * cutoff > MAX_ORDER:
+        raise ValueError(f"index_cutoff must be <= {MAX_ORDER // 2} (Bessel orders up to "
+                         f"2 index_cutoff; the default is ceil(A/omega_0) + 20), got {cutoff}")
     ratio = params.drive_ratio
+    if ratio > MAX_ARGUMENT:
+        raise ValueError(f"drive ratio A/omega_0 = {ratio!r} outside <= {MAX_ARGUMENT}")
     stark = 2.0 * quasienergy(params)
-    orders = np.arange(-2 * cutoff, 2 * cutoff + 1)
-    jvals = {int(k): bessel_j(int(k), ratio) for k in orders}
-    lines: list[SpectralLine] = []
-    for m in range(-cutoff, cutoff + 1):
-        for n in range(-cutoff, cutoff + 1):
-            weight = 2.0 * abs(jvals[n] * jvals[m - n])
-            if weight < weight_threshold:
-                continue
-            freq = (params.epsilon0 + m * params.carrier + stark
-                    + (2 * n - m) * params.modulation)
-            lines.append(SpectralLine(m=m, n=n, frequency=freq, weight=weight))
-    return lines
+    bessel = special.jv(np.arange(-2 * cutoff, 2 * cutoff + 1), ratio)  # J_k at k + 2 cutoff
+    index = np.arange(-cutoff, cutoff + 1)
+    m, n = np.meshgrid(index, index, indexing="ij")  # lines ordered by m, then n
+    weight = 2.0 * np.abs(bessel[n + 2 * cutoff] * bessel[m - n + 2 * cutoff])
+    keep = weight >= weight_threshold
+    m, n, weight = m[keep], n[keep], weight[keep]
+    freq = params.epsilon0 + m * params.carrier + stark + (2 * n - m) * params.modulation
+    return list(map(SpectralLine._make, zip(m.tolist(), n.tolist(), freq.tolist(),
+                                            weight.tolist())))
 
 
 def xconfig_spectral_lines(omega0: float, delta_mod: float, n_range: int) -> list[float]:

@@ -20,7 +20,7 @@ from scipy import integrate, special
 from scipy.interpolate import CubicHermiteSpline
 
 from .model import SystemParams
-from .specfun import bessel_j
+from .specfun import MAX_ARGUMENT, bessel_j
 
 __all__ = [
     "QuadratureError",
@@ -76,6 +76,25 @@ def tunneling_amplitude(params: SystemParams, t):
 def _half_order_bessel(order: int, ratio):
     """J_{N/2}(r): its square is the period-averaged coupling (``mean_bessel``)."""
     return special.jv(0.5 * order, ratio)
+
+
+def _coupling_harmonics(order: int, ratio: float, n_max: int) -> np.ndarray:
+    """G(0), ..., G(n_max) of J_N(2 r |cos u|) from integer-order Bessel products.
+
+    G(n) = sum_k J_k(r) J_{N-k}(r) s(2k - N - 2n) (see ``fourier_phase``).
+    |J_k(r)| < 1e-18 past |k| = span for every r <= MAX_ARGUMENT / 2, so the
+    sum stops there; every factor has magnitude <= 1 and no term can overflow.
+    """
+    span = int(ratio + 15.0 * np.cbrt(ratio) + 20.0)
+    k = np.arange(-span, order + span + 1)
+    bessel = special.jv(k, ratio)
+    products = bessel * bessel[::-1]  # J_k(r) J_{N-k}(r)
+    j = (2 * k - order)[None, :] - 2 * np.arange(n_max + 1)[:, None]
+    if order % 2 == 0:
+        s = (j == 0).astype(float)
+    else:
+        s = np.where((j - 1) // 2 % 2, -2.0, 2.0) / (math.pi * j)
+    return s @ products
 
 
 def mean_bessel(params: SystemParams) -> float:
@@ -206,8 +225,8 @@ def phase_gamma(params: SystemParams, t: float) -> tuple[float, PhaseDecompositi
 class FourierPhase:
     """Fourier table G(n), |n| <= n_max, of the periodic coupling J_N(w(t)).
 
-    ``coefficients[k]`` holds G(k - n_max); G(-n) is the conjugate of G(n)
-    because the underlying signal is real, and G(0) is real.
+    ``coefficients[k]`` holds G(k - n_max).  The coupling is real and even
+    about t = 0, so every G(n) is real and G(-n) = G(n).
     """
 
     coefficients: np.ndarray
@@ -224,26 +243,32 @@ class FourierPhase:
 
 
 def fourier_phase(params: SystemParams, n_max: int) -> FourierPhase:
-    """Fourier coefficients G(n) = (1/T) int_0^T J_N(w) e^{-i 2 pi n t / T} dt."""
+    """Fourier coefficients G(n) = (1/T) int_0^T J_N(w) e^{-i 2 pi n t / T} dt.
+
+    With u = delta t the envelope J_N(2 r |cos u|) is even about u = 0 and
+    about u = pi/2, so G(n) = (2/pi) int_0^{pi/2} J_N(2 r cos u) cos(2 n u) du.
+    Writing 2 r cos u sin(theta) = r sin(theta + u) + r sin(theta - u) in the
+    Jacobi-Anger expansion (DLMF 10.12) gives
+    J_N(2 r cos u) = sum_k J_k(r) J_{N-k}(r) cos((2k - N) u).  Integrated
+    term by term, G(n) = sum_k J_k(r) J_{N-k}(r) (s(2k-N-2n) + s(2k-N+2n)) / 2
+    with s(j) = (2/pi) int_0^{pi/2} cos(j u) du: 1 at j = 0, 0 at every other
+    even j and 2 (-1)^{(j-1)/2} / (pi j) at odd j.  s is even and the
+    products are symmetric under k -> N - k, so both halves are equal and
+    G(n) = sum_k J_k(r) J_{N-k}(r) s(2k - N - 2n).  For even N only
+    k = N/2 + n survives: G(n) = J_{N/2+n}(r) J_{N/2-n}(r), Neumann's product
+    integral (DLMF 10.22) at integer orders.  Every factor is an
+    integer-order Bessel value of magnitude <= 1, so no coefficient
+    overflows, at any r >= 0 or harmonic.  Like the envelope functions it
+    raises ``ValueError`` past the Bessel domain, 2 r > ``specfun.MAX_ARGUMENT``.
+    """
     if n_max != int(n_max) or int(n_max) < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
-    n_max = int(n_max)
-    period = params.period
-    panels = max(64, 4 * n_max)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(10)
-    edges = np.linspace(0.0, period, panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    nodes = (mid + half * gl_x[None, :]).ravel()
-    weights = (np.broadcast_to(half, (panels, gl_x.size)) * gl_w[None, :]).ravel()
-    signal = bessel_j(params.order, effective_bessel_argument(params, nodes))
-
-    harm = np.arange(0, n_max + 1)
-    phases = np.exp(-2j * math.pi * np.outer(harm, nodes) / period)
-    positive = phases @ (weights * signal) / period
-    positive[0] = positive[0].real
-    coefficients = np.concatenate((np.conj(positive[:0:-1]), positive))
-    return FourierPhase(coefficients=coefficients, period=period)
+    if 2.0 * params.drive_ratio > MAX_ARGUMENT:
+        raise ValueError(f"envelope argument 2 A/omega_0 = {2.0 * params.drive_ratio!r} "
+                         f"outside <= {MAX_ARGUMENT}")
+    positive = _coupling_harmonics(params.order, params.drive_ratio, int(n_max))
+    coefficients = np.concatenate((positive[:0:-1], positive))
+    return FourierPhase(coefficients=coefficients, period=params.period)
 
 
 def reconstruct_periodic_phase(phase: FourierPhase, delta_gap: float, t):

@@ -1,8 +1,8 @@
 """Validated special-function kernel.
 
-Bessel functions of the first kind and the Gamma function in plain double
-precision.  Scalar Bessel calls go to ``scipy.special.jv``; arrays are
-evaluated by a vectorised kernel with explicitly stitched accuracy regimes,
+Bessel functions of the first kind in plain double precision.  Scalar calls
+go to ``scipy.special.jv``; arrays are evaluated by a vectorised kernel with
+explicitly stitched accuracy regimes,
 which is faster per element than ``jv`` on the package's envelope arguments.
 The module has no dependency on the rest of the package.
 """
@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy import special
 
-__all__ = ["bessel_j", "gamma_fn"]
+__all__ = ["bessel_j"]
 
 MAX_ORDER = 200
 MAX_ARGUMENT = 1.0e3
@@ -158,42 +158,3 @@ def _accumulate_hankel(p: np.ndarray, q: np.ndarray, term: np.ndarray, j: int) -
     else:
         q += term if j % 4 == 1 else -term
 
-
-# ---------------------------------------------------------------------------
-# Gamma
-# ---------------------------------------------------------------------------
-
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for x > 0 (Lanczos approximation, g = 7, 9 terms)."""
-    xf = float(x)
-    if not math.isfinite(xf) or xf <= 0.0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x!r}")
-    if xf < 0.5:
-        # reflection keeps the rational approximation on z >= 0.5
-        return math.pi / (math.sin(math.pi * xf) * gamma_fn(1.0 - xf))
-    z = xf - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, coeff in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += coeff / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    try:
-        value = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"gamma_fn({x!r}) overflows double precision")
-    return value

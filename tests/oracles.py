@@ -35,10 +35,6 @@ def mp_besselj(order, x) -> float:
     return float(mp.besselj(order, x))
 
 
-def mp_gamma(x: float) -> float:
-    return float(mp.gamma(x))
-
-
 def mean_coupling_quad(order: int, ratio: float, dps: int = 30) -> float:
     """(1/pi) int_0^pi J_N(2 r |cos u|) du by mpmath adaptive quadrature."""
     with mp.workdps(dps):

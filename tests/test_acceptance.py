@@ -43,7 +43,6 @@ from floquet_qubit.floquet import (
     weak_forms,
 )
 from floquet_qubit.model import SystemParams
-from floquet_qubit.specfun import gamma_fn
 
 
 def check(ok: bool, label: str, detail: str = "") -> bool:
@@ -251,7 +250,7 @@ def test_criterion_7_weak_drive():
                 got = solve_periodic_ratio(params, m, n)
                 closed = ((n / m) / (2 * math.sqrt(math.pi) * math.factorial(order))
                           * ratio ** order
-                          * gamma_fn(0.5 * (1 + order)) / gamma_fn(1 + 0.5 * order))
+                          * math.gamma(0.5 * (1 + order)) / math.gamma(1 + 0.5 * order))
                 worst = max(worst, abs(got - closed) / closed)
     ok &= check(worst <= 0.01, "criterion 7: periodic ratio vs weak closed form",
                 f"worst rel dev {worst:.2e} <= 1%")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from floquet_qubit.analysis import (
     periodicity_residual,
@@ -17,7 +18,7 @@ from floquet_qubit.analysis import (
 from floquet_qubit.dynamics import PopulationTrace, analytic_populations
 from floquet_qubit.floquet import quasienergy
 from floquet_qubit.model import SystemParams
-from floquet_qubit.specfun import bessel_j, gamma_fn
+from floquet_qubit.specfun import bessel_j
 
 from oracles import half_order_bessel_zeros
 
@@ -170,7 +171,7 @@ def test_solve_ratio_weak_drive_closed_form():
                 got = solve_periodic_ratio(base, m, n)
                 closed = ((n / m) / (2 * math.sqrt(math.pi) * math.factorial(order))
                           * ratio ** order
-                          * gamma_fn(0.5 * (1 + order)) / gamma_fn(1 + 0.5 * order))
+                          * math.gamma(0.5 * (1 + order)) / math.gamma(1 + 0.5 * order))
                 assert got == pytest.approx(closed, rel=0.01)
 
 
@@ -260,6 +261,33 @@ def test_spectral_threshold_filters():
     tight = spectral_lines(p, weight_threshold=1e-12)
     assert len(loose) < len(tight)
     assert all(line.weight >= 1e-3 for line in loose)
+
+
+@pytest.mark.parametrize("cutoff", [0, None, 100])
+@pytest.mark.parametrize("threshold", [0.0, 1e-8, 1e-3])
+def test_spectral_lines_match_reference_loop(threshold, cutoff):
+    # plain double loop over scipy's jv: same (m, n) order, and every weight
+    # and frequency equal to the last bit
+    for order, ratio in ((1, 0.0), (1, 0.7), (2, 3.3), (3, 10.9)):
+        p = make_params(order=order, ratio=ratio)
+        c = int(math.ceil(ratio)) + 20 if cutoff is None else cutoff
+        stark = 2.0 * quasienergy(p)
+        ref = []
+        for m in range(-c, c + 1):
+            for n in range(-c, c + 1):
+                weight = 2.0 * abs(float(special.jv(n, ratio)) * float(special.jv(m - n, ratio)))
+                if weight >= threshold:
+                    ref.append((m, n, p.epsilon0 + m * p.carrier + stark
+                                + (2 * n - m) * p.modulation, weight))
+        lines = spectral_lines(p, weight_threshold=threshold, index_cutoff=cutoff)
+        assert [tuple(line) for line in lines] == ref
+
+
+def test_spectral_rejects_inputs_past_the_bessel_domain():
+    with pytest.raises(ValueError, match="index_cutoff"):
+        spectral_lines(make_params(), index_cutoff=101)
+    with pytest.raises(ValueError, match="drive ratio"):
+        spectral_lines(make_params(ratio=1000.5), index_cutoff=5)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from floquet_qubit.floquet import (
     alpha_phase,
@@ -24,7 +25,6 @@ from floquet_qubit.floquet import (
 )
 from floquet_qubit.floquet import _abs_cos_antiderivative
 from floquet_qubit.model import SystemParams
-from floquet_qubit.specfun import gamma_fn
 
 from oracles import (abs_cos_power_integral, fourier_coefficient, mean_coupling_quad, mp_besselj,
                      weak_drive_means)
@@ -204,6 +204,16 @@ def test_periodic_part_is_periodic():
         assert abs(phi2 - phi1) < 1e-8
 
 
+@settings(max_examples=50, deadline=None)
+@given(order=st.integers(1, 6), ratio=st.one_of(st.just(0.0), st.floats(0.0, 11.0)),
+       gap_over_mod=st.floats(0.1, 40.0), cycles=st.floats(0.0, 10.0))
+def test_periodic_part_closes_over_a_period_anywhere(order, ratio, gap_over_mod, cycles):
+    p = make_params(order=order, ratio=ratio, gap_over_mod=gap_over_mod)
+    dec = build_phase_decomposition(p)
+    t = cycles * p.period
+    assert abs(dec.periodic_part(t + p.period) - dec.periodic_part(t)) < 1e-8
+
+
 def test_periodic_part_vanishes_at_reference_point():
     dec = build_phase_decomposition(make_params(order=2, ratio=0.7))
     assert dec.periodic_part(0.0) == 0.0
@@ -248,7 +258,8 @@ def test_fourier_reconstruction_matches_quadrature():
 def test_fourier_high_harmonics_match_bessel_products():
     # G(n) = J_{N/2+n}(r) J_{N/2-n}(r) (Neumann's product integral); evaluated
     # as that product in doubles it turns into inf * 0 once J_{N/2-n}
-    # overflows (n >= 150 at N=1, r=0.3), so the quadrature table is kept
+    # overflows (n >= 150 at N=1, r=0.3), so the table is built from
+    # integer-order products J_k(r) J_{N-k}(r) instead
     n_max = 200
     for order in (1, 2, 3):
         for ratio in (0.0, 1e-3, 0.3, 3.0):
@@ -256,6 +267,33 @@ def test_fourier_high_harmonics_match_bessel_products():
             ref = np.array([fourier_coefficient(order, n, ratio)
                             for n in range(-n_max, n_max + 1)])
             assert np.max(np.abs(table.coefficients - ref)) < 1e-14
+
+
+@settings(max_examples=50, deadline=None)
+@given(order=st.integers(1, 6), ratio=st.one_of(st.just(0.0), st.floats(0.0, 11.0)),
+       n_max=st.integers(1, 200))
+def test_fourier_matches_bessel_product_oracle_anywhere(order, ratio, n_max):
+    table = fourier_phase(make_params(order=order, ratio=ratio), n_max).coefficients
+    ref = np.array([fourier_coefficient(order, n, ratio) for n in range(n_max + 1)])
+    assert np.all(np.isfinite(table))
+    assert np.max(np.abs(table[n_max:] - ref)) < 1e-14
+    assert np.array_equal(table[:n_max], table[:n_max:-1])
+
+
+def test_fourier_strong_drive_up_to_the_bessel_domain():
+    # G(0) is the period average J_{N/2}(r)^2 and, for even N, G(n) is the
+    # integer-order product J_{N/2+n}(r) J_{N/2-n}(r), out to 2 r = 1e3
+    harm = np.arange(65)
+    for order in (1, 2, 3, 4):
+        for ratio in (50.0, 250.0, 500.0):
+            p = make_params(order=order, ratio=ratio)
+            table = fourier_phase(p, 64).coefficients[64:]
+            assert abs(table[0] - mean_bessel(p)) < 1e-14
+            if order % 2 == 0:
+                ref = special.jv(order // 2 + harm, ratio) * special.jv(order // 2 - harm, ratio)
+                assert np.max(np.abs(table - ref)) < 1e-14
+    with pytest.raises(ValueError):
+        fourier_phase(make_params(ratio=500.5), 8)
 
 
 def test_fourier_rejects_bad_harmonic_count():
@@ -394,7 +432,6 @@ def test_alpha_phase_full_matches_simplified_away_from_nodes():
 
 def test_weak_forms_uses_consistent_gamma_values():
     # the moment factor reduces to known closed values
-    assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-12)
     p2 = make_params(order=2, ratio=0.1)
     assert weak_forms(p2, 0.0).mean_moment == pytest.approx(0.01 / 2 / 2, rel=1e-12)
     # every order, past N! overflowing a double at N = 171: values against

@@ -1,11 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
-from floquet_qubit.specfun import bessel_j, gamma_fn
+from floquet_qubit.specfun import bessel_j
 
-from oracles import bessel_series, mp_besselj, mp_gamma
+from oracles import bessel_series, mp_besselj
 
 
 # ---------------------------------------------------------------------------
@@ -97,34 +95,4 @@ def test_bessel_domain_errors():
         bessel_j(0, float("nan"))
     with pytest.raises(ValueError):
         bessel_j(1.5, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# gamma_fn
-# ---------------------------------------------------------------------------
-
-def test_gamma_known_values():
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-10)
-    assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-10)
-    assert gamma_fn(1.5) == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-10)
-
-
-def test_gamma_matches_library_oracle():
-    for x in np.linspace(0.05, 50.0, 333):
-        assert gamma_fn(float(x)) == pytest.approx(mp_gamma(float(x)), rel=1e-12)
-
-
-def test_gamma_recurrence():
-    rng = np.random.RandomState(23)
-    for _ in range(200):
-        x = float(rng.uniform(1e-3, 49.0))
-        assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-10)
-
-
-def test_gamma_domain_errors():
-    for bad in (0.0, -1.0, -0.5, float("nan")):
-        with pytest.raises(ValueError):
-            gamma_fn(bad)
-    with pytest.raises(ValueError):
-        gamma_fn(200.0)  # overflows double precision
 
