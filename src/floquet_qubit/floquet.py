@@ -16,14 +16,12 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
-from scipy.interpolate import CubicHermiteSpline
+from scipy import special
 
 from .model import SystemParams
-from .specfun import MAX_ARGUMENT, bessel_j
+from .specfun import MAX_ARGUMENT, MAX_ORDER, bessel_j
 
 __all__ = [
-    "QuadratureError",
     "PhaseDecomposition",
     "FourierPhase",
     "QesState",
@@ -44,17 +42,6 @@ __all__ = [
     "graf_closed_form",
     "alpha_phase",
 ]
-
-PHASE_TABLE_SIZE = 4096  # 2**12 nodes per period for the sampled periodic part
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to meet its tolerance; carries the estimate."""
-
-    def __init__(self, message: str, estimate: float):
-        super().__init__(f"{message} (achieved error estimate {estimate:.3e})")
-        self.estimate = estimate
-
 
 # ---------------------------------------------------------------------------
 # effective coupling envelope and its period average
@@ -78,23 +65,37 @@ def _half_order_bessel(order: int, ratio):
     return special.jv(0.5 * order, ratio)
 
 
+def _bessel_products(order: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies j = 2k - N and products J_k(r) J_{N-k}(r) of the expansion
+    J_N(2 r cos u) = sum_k J_k(r) J_{N-k}(r) cos(j u) (Jacobi-Anger, DLMF 10.12).
+
+    |J_k(r)| < 1e-18 past |k| = span for every r <= MAX_ARGUMENT / 2, so the
+    sum stops there; every factor has magnitude <= 1 and no term can overflow.
+    """
+    if 2.0 * ratio > MAX_ARGUMENT:
+        raise ValueError(f"envelope argument 2 A/omega_0 = {2.0 * ratio!r} "
+                         f"outside <= {MAX_ARGUMENT}")
+    span = int(ratio + 15.0 * np.cbrt(ratio) + 20.0)
+    k = np.arange(-span, order + span + 1)
+    bessel = special.jv(k, ratio)
+    return 2 * k - order, bessel * bessel[::-1]
+
+
+def _half_period_mean(order: int, j: np.ndarray) -> np.ndarray:
+    """s(j) = (2/pi) int_0^{pi/2} cos(j u) du for integers j of the parity of N:
+    1 at j = 0, 0 at every other even j and 2 (-1)^{(j-1)/2} / (pi j) at odd j."""
+    if order % 2 == 0:
+        return (j == 0).astype(float)
+    return np.where((j - 1) // 2 % 2, -2.0, 2.0) / (math.pi * j)
+
+
 def _coupling_harmonics(order: int, ratio: float, n_max: int) -> np.ndarray:
     """G(0), ..., G(n_max) of J_N(2 r |cos u|) from integer-order Bessel products.
 
     G(n) = sum_k J_k(r) J_{N-k}(r) s(2k - N - 2n) (see ``fourier_phase``).
-    |J_k(r)| < 1e-18 past |k| = span for every r <= MAX_ARGUMENT / 2, so the
-    sum stops there; every factor has magnitude <= 1 and no term can overflow.
     """
-    span = int(ratio + 15.0 * np.cbrt(ratio) + 20.0)
-    k = np.arange(-span, order + span + 1)
-    bessel = special.jv(k, ratio)
-    products = bessel * bessel[::-1]  # J_k(r) J_{N-k}(r)
-    j = (2 * k - order)[None, :] - 2 * np.arange(n_max + 1)[:, None]
-    if order % 2 == 0:
-        s = (j == 0).astype(float)
-    else:
-        s = np.where((j - 1) // 2 % 2, -2.0, 2.0) / (math.pi * j)
-    return s @ products
+    j, products = _bessel_products(order, ratio)
+    return _half_period_mean(order, j[None, :] - 2 * np.arange(n_max + 1)[:, None]) @ products
 
 
 def mean_bessel(params: SystemParams) -> float:
@@ -128,9 +129,12 @@ def quasienergy_pair(params: SystemParams) -> tuple[float, float]:
 class PhaseDecomposition:
     """Split of the accumulated phase into slope * t plus a periodic remainder.
 
-    ``slope`` is (delta_gap/2) * mean_bessel, ``quasienergy`` is
-    (-1)^N * slope, ``period`` is pi/delta and ``periodic_part`` evaluates the
-    periodic remainder (zero at t = 0 and at every full period).
+    ``slope`` is (delta_gap/2) J_{N/2}(r)^2 (the period average, as in
+    ``mean_bessel``), ``quasienergy`` is (-1)^N * slope, ``period`` is
+    pi/delta and ``periodic_part`` evaluates the periodic remainder in closed
+    form (see ``build_phase_decomposition``): zero at t = 0, at every half
+    period and at every full period, and odd about each of them.  A Python
+    or NumPy float time gives a float, an array an array.
     """
 
     slope: float
@@ -144,77 +148,75 @@ class PhaseDecomposition:
 
 
 @lru_cache(maxsize=64)
-def _phase_decomposition_cached(params: SystemParams, size: int) -> PhaseDecomposition:
-    period = params.period
-    n = params.order
-    edges = np.linspace(0.0, period, size + 1)
-    # per-panel 10-point Gauss-Legendre cumulative integral of J_N(w(t));
-    # the envelope kink at T/2 falls on a panel edge for even ``size``
-    gl_x, gl_w = np.polynomial.legendre.leggauss(10)
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    nodes = mid + half * gl_x[None, :]
-    values = bessel_j(n, effective_bessel_argument(params, nodes.ravel()))
-    panel = (values.reshape(nodes.shape) * gl_w[None, :] * half).sum(axis=1)
-    cum = np.concatenate(([0.0], np.cumsum(panel)))
+def build_phase_decomposition(params: SystemParams) -> PhaseDecomposition:
+    """Phase decomposition with a closed-form periodic part.
 
-    half_gap = 0.5 * params.delta_gap
-    coupling_mean = cum[-1] / period
-    slope = half_gap * coupling_mean
-    phi = half_gap * cum - slope * edges
-    phi[-1] = 0.0  # exact by construction; clear the last rounding residue
-    dphi = half_gap * (bessel_j(n, effective_bessel_argument(params, edges)) - coupling_mean)
-    spline = CubicHermiteSpline(edges, phi, dphi)
+    With u = delta t, gamma_N(t) = (delta_gap / (2 delta)) F(u) and
+    F(u) = int_0^u J_N(2 r |cos v|) dv.  The Jacobi-Anger expansion behind
+    ``fourier_phase``, integrated term by term, gives the signed integral
+    F_s(u) = int_0^u J_N(2 r cos v) dv = c u + S(u) with the sine series
+    S(u) = sum_{j>0} 2 J_k(r) J_{N-k}(r) sin(j u) / j, j = 2k - N, and
+    c = J_{N/2}(r)^2 for even N, 0 for odd N.  The |cos| envelope is the
+    signed one up to u = pi/2 and even about pi/2, so past it
+    F(u) = pi M - F_s(pi - u), where M = J_{N/2}(r)^2 is the period average;
+    every whole half-period of u adds pi M.  The periodic part, the scale
+    times F(u) - M u, is therefore the scale times h(u) = S(u) - (M - c) u
+    on [0, pi/2], odd about pi/2 and repeated with period pi in u.
+
+    M is G(0) summed from the same integer-order products: for r <= 11 it
+    is within 2.5e-16 of mpmath, where the half-order ``jv`` of
+    ``mean_bessel`` is off by up to 3.2e-15, an error that t multiplies.
+    Terms with |J_k J_{N-k}| below rounding of the largest product are
+    dropped.  The result is cached per parameter set, so a scalar
+    ``periodic_part`` call (``qes_state``) costs one short sine series
+    rather than a ``jv`` call over every order.  Raises ``ValueError`` past
+    the Bessel domain (order > ``specfun.MAX_ORDER`` or
+    2 A/omega_0 > ``specfun.MAX_ARGUMENT``), as the envelope functions do.
+    """
+    order = params.order
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} outside <= {MAX_ORDER}")
+    j, products = _bessel_products(order, params.drive_ratio)
+    keep = (j > 0) & (np.abs(products) > np.finfo(float).eps * np.max(np.abs(products)))
+    freq = j[keep].astype(float)
+    weight = 2.0 * products[keep] / freq
+    mean = float(_half_period_mean(order, j) @ products)  # G(0) = J_{N/2}(r)^2
+    drift = mean if order % 2 else 0.0
+    delta = params.modulation
+    scale = 0.5 * params.delta_gap / delta
+    half = 0.5 * math.pi
 
     def periodic_part(t):
-        return spline(np.mod(np.asarray(t, dtype=float), period))
+        if isinstance(t, (float, int)):
+            u = math.fmod(delta * float(t), math.pi)
+            if u < 0.0:
+                u += math.pi
+            v = min(u, math.pi - u)
+            h = scale * (float(np.sin(freq * v) @ weight) - drift * v)
+            return h if u <= half else -h
+        u = np.mod(delta * np.asarray(t, dtype=float), math.pi)
+        v = np.minimum(u, math.pi - u)
+        h = scale * (np.sin(np.multiply.outer(v, freq)) @ weight - drift * v)
+        return np.where(u <= half, h, -h)
 
-    sign = 1.0 if n % 2 == 0 else -1.0
+    slope = 0.5 * params.delta_gap * mean
+    sign = 1.0 if order % 2 == 0 else -1.0
     return PhaseDecomposition(slope=slope, quasienergy=sign * slope,
-                              period=period, periodic_part=periodic_part)
-
-
-def build_phase_decomposition(params: SystemParams,
-                              table_size: int = PHASE_TABLE_SIZE) -> PhaseDecomposition:
-    """Phase decomposition with a dense sampled periodic part.
-
-    The periodic remainder is tabulated on ``table_size`` panels per period
-    with exact nodal derivatives and evaluated through a cubic Hermite
-    interpolant, so sweeps can query the phase cheaply; ``phase_gamma`` keeps
-    an on-demand exact quadrature path beside it.
-    """
-    if table_size < 16:
-        raise ValueError(f"table_size must be >= 16, got {table_size}")
-    return _phase_decomposition_cached(params, int(table_size))
+                              period=params.period, periodic_part=periodic_part)
 
 
 def phase_gamma(params: SystemParams, t: float) -> tuple[float, PhaseDecomposition]:
-    """Accumulated phase gamma_N(t) by quadrature, plus its decomposition.
+    """Accumulated phase gamma_N(t) = (delta_gap/2) int_0^t J_N(w(tau)) dtau,
+    plus its decomposition.
 
-    gamma_N(t) = (delta_gap/2) int_0^t J_N(w(tau)) dtau evaluated panel-wise
-    (full periods via the period average, the remainder by adaptive
-    quadrature split at the envelope kink).
+    The value is the closed form of ``build_phase_decomposition``,
+    slope * t + periodic_part(t), for t >= 0.
     """
     tf = float(t)
     if tf < 0.0:
         raise ValueError(f"phase_gamma requires t >= 0, got {t!r}")
     decomposition = build_phase_decomposition(params)
-    period = params.period
-    whole, rem = divmod(tf, period)
-    n = params.order
-    r = params.drive_ratio
-    delta = params.modulation
-
-    def integrand(tau: float) -> float:
-        return bessel_j(n, 2.0 * r * abs(math.cos(delta * tau)))
-
-    points = [0.5 * period] if rem > 0.5 * period else None
-    tail, estimate = integrate.quad(integrand, 0.0, rem, points=points,
-                                    epsabs=1e-13, epsrel=1e-13, limit=300)
-    if estimate > 1e-9:
-        raise QuadratureError("phase_gamma quadrature did not converge", estimate)
-    gamma = 0.5 * params.delta_gap * (whole * period * mean_bessel(params) + tail)
-    return gamma, decomposition
+    return float(decomposition.gamma_at(tf)), decomposition
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +265,6 @@ def fourier_phase(params: SystemParams, n_max: int) -> FourierPhase:
     """
     if n_max != int(n_max) or int(n_max) < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
-    if 2.0 * params.drive_ratio > MAX_ARGUMENT:
-        raise ValueError(f"envelope argument 2 A/omega_0 = {2.0 * params.drive_ratio!r} "
-                         f"outside <= {MAX_ARGUMENT}")
     positive = _coupling_harmonics(params.order, params.drive_ratio, int(n_max))
     coefficients = np.concatenate((positive[:0:-1], positive))
     return FourierPhase(coefficients=coefficients, period=params.period)
@@ -275,15 +274,14 @@ def reconstruct_periodic_phase(phase: FourierPhase, delta_gap: float, t):
     """Periodic phase remainder rebuilt from the Fourier table.
 
     Phi(t) = (delta_gap/2) sum_{|n|>=1} G(n) (T / (i 2 pi n)) (e^{i 2 pi n t / T} - 1);
-    conjugate symmetry collapses the sum to twice the real part over n >= 1.
+    with G(-n) = G(n) real the +-n terms pair into the sine series
+    Phi(t) = (delta_gap/2) sum_{n>=1} G(n) (T / (pi n)) sin(2 pi n t / T),
+    evaluated as one matrix-vector product.
     """
-    tf = np.asarray(t, dtype=float)
-    total = np.zeros_like(tf)
-    period = phase.period
-    for n in range(1, phase.n_max + 1):
-        coeff = phase.coefficient(n) * period / (2j * math.pi * n)
-        total = total + 2.0 * np.real(coeff * (np.exp(2j * math.pi * n * tf / period) - 1.0))
-    return 0.5 * delta_gap * total
+    n = np.arange(1, phase.n_max + 1)
+    weight = phase.coefficients[phase.n_max + 1:] * phase.period / (math.pi * n)
+    angle = np.multiply.outer(np.asarray(t, dtype=float), 2.0 * math.pi * n / phase.period)
+    return 0.5 * delta_gap * (np.sin(angle) @ weight)
 
 
 # ---------------------------------------------------------------------------

@@ -89,3 +89,23 @@ def half_order_bessel_zeros(order: int, upper: float) -> list[float]:
 
 def central_difference(f, t: float, h: float) -> float:
     return (f(t + h) - f(t - h)) / (2.0 * h)
+
+
+def accumulated_phase_quad(order: int, ratio: float, u: float, dps: int = 20) -> float:
+    """F(u) = int_0^u J_N(2 r |cos v|) dv by mpmath quadrature.
+
+    Each interval is split at the envelope node v = pi/2; whole periods of
+    |cos v| (length pi) enter as multiples of one quadrature over [0, pi].
+    """
+    with mp.workdps(dps):
+        r = mp.mpf(repr(float(ratio)))
+
+        def envelope(v):
+            return mp.besselj(order, 2 * r * abs(mp.cos(v)))
+
+        um = mp.mpf(repr(float(u)))
+        whole = mp.floor(um / mp.pi)
+        rem = um - whole * mp.pi
+        total = whole * mp.quad(envelope, [0, mp.pi / 2, mp.pi]) if whole else mp.mpf(0)
+        nodes = [0, mp.pi / 2, rem] if rem > mp.pi / 2 else [0, rem]
+        return float(total + mp.quad(envelope, nodes))
