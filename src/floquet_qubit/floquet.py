@@ -89,12 +89,12 @@ def _half_period_mean(order: int, j: np.ndarray) -> np.ndarray:
     return np.where((j - 1) // 2 % 2, -2.0, 2.0) / (math.pi * j)
 
 
-def _coupling_harmonics(order: int, ratio: float, n_max: int) -> np.ndarray:
-    """G(0), ..., G(n_max) of J_N(2 r |cos u|) from integer-order Bessel products.
+def _coupling_harmonics(order: int, j: np.ndarray, products: np.ndarray,
+                        n_max: int) -> np.ndarray:
+    """G(0), ..., G(n_max) of J_N(2 r |cos u|) from ``_bessel_products``.
 
     G(n) = sum_k J_k(r) J_{N-k}(r) s(2k - N - 2n) (see ``fourier_phase``).
     """
-    j, products = _bessel_products(order, ratio)
     return _half_period_mean(order, j[None, :] - 2 * np.arange(n_max + 1)[:, None]) @ products
 
 
@@ -133,8 +133,8 @@ class PhaseDecomposition:
     ``mean_bessel``), ``quasienergy`` is (-1)^N * slope, ``period`` is
     pi/delta and ``periodic_part`` evaluates the periodic remainder in closed
     form (see ``build_phase_decomposition``): zero at t = 0, at every half
-    period and at every full period, and odd about each of them.  A Python
-    or NumPy float time gives a float, an array an array.
+    period and at every full period, and odd about each of them.  A scalar
+    time gives a NumPy float, an array an array.
     """
 
     slope: float
@@ -161,11 +161,15 @@ def build_phase_decomposition(params: SystemParams) -> PhaseDecomposition:
     F(u) = pi M - F_s(pi - u), where M = J_{N/2}(r)^2 is the period average;
     every whole half-period of u adds pi M.  The periodic part, the scale
     times F(u) - M u, is therefore the scale times h(u) = S(u) - (M - c) u
-    on [0, pi/2], odd about pi/2 and repeated with period pi in u.
+    on [0, pi/2], odd about pi/2 and repeated with period pi in u.  h is
+    odd, so that is h(w) with w = u reduced modulo pi into (-pi/2, pi/2].
 
     M is G(0) summed from the same integer-order products: for r <= 11 it
     is within 2.5e-16 of mpmath, where the half-order ``jv`` of
     ``mean_bessel`` is off by up to 3.2e-15, an error that t multiplies.
+    ``slope`` and ``quasienergy`` here are therefore the more accurate of
+    the two; they differ from ``quasienergy(params)`` by up to about 4e-14
+    relative.
     Terms with |J_k J_{N-k}| below rounding of the largest product are
     dropped.  The result is cached per parameter set, so a scalar
     ``periodic_part`` call (``qes_state``) costs one short sine series
@@ -180,24 +184,16 @@ def build_phase_decomposition(params: SystemParams) -> PhaseDecomposition:
     keep = (j > 0) & (np.abs(products) > np.finfo(float).eps * np.max(np.abs(products)))
     freq = j[keep].astype(float)
     weight = 2.0 * products[keep] / freq
-    mean = float(_half_period_mean(order, j) @ products)  # G(0) = J_{N/2}(r)^2
+    mean = float(_coupling_harmonics(order, j, products, 0)[0])  # G(0) = J_{N/2}(r)^2
     drift = mean if order % 2 else 0.0
     delta = params.modulation
     scale = 0.5 * params.delta_gap / delta
-    half = 0.5 * math.pi
 
     def periodic_part(t):
-        if isinstance(t, (float, int)):
-            u = math.fmod(delta * float(t), math.pi)
-            if u < 0.0:
-                u += math.pi
-            v = min(u, math.pi - u)
-            h = scale * (float(np.sin(freq * v) @ weight) - drift * v)
-            return h if u <= half else -h
+        # both the reduction modulo pi and the shift by pi are exact
         u = np.mod(delta * np.asarray(t, dtype=float), math.pi)
-        v = np.minimum(u, math.pi - u)
-        h = scale * (np.sin(np.multiply.outer(v, freq)) @ weight - drift * v)
-        return np.where(u <= half, h, -h)
+        u = u - math.pi * (u > 0.5 * math.pi)
+        return scale * (np.sin(np.multiply.outer(u, freq)) @ weight - drift * u)
 
     slope = 0.5 * params.delta_gap * mean
     sign = 1.0 if order % 2 == 0 else -1.0
@@ -265,7 +261,8 @@ def fourier_phase(params: SystemParams, n_max: int) -> FourierPhase:
     """
     if n_max != int(n_max) or int(n_max) < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
-    positive = _coupling_harmonics(params.order, params.drive_ratio, int(n_max))
+    order = params.order
+    positive = _coupling_harmonics(order, *_bessel_products(order, params.drive_ratio), int(n_max))
     coefficients = np.concatenate((positive[:0:-1], positive))
     return FourierPhase(coefficients=coefficients, period=params.period)
 

@@ -209,7 +209,9 @@ def test_accumulated_phase_matches_quadrature(order, ratio, cycles):
     p = make_params(order=order, ratio=ratio, gap_over_mod=2.0)
     t = cycles * p.period
     reference = accumulated_phase_quad(order, ratio, p.modulation * t)
-    assert abs(build_phase_decomposition(p).gamma_at(t) - reference) < 1e-13
+    dec = build_phase_decomposition(p)
+    assert abs(dec.gamma_at(t) - reference) < 1e-13
+    assert abs(dec.gamma_at(np.array([t]))[0] - reference) < 1e-13
     assert abs(phase_gamma(p, t)[0] - reference) < 1e-13
 
 
@@ -226,9 +228,12 @@ def test_phase_gamma_past_the_envelope_node(order, amplitude):
     assert math.isfinite(gamma) and gamma == dec.gamma_at(t_node)
     reference = accumulated_phase_quad(order, p.drive_ratio, p.modulation * t_node)
     assert abs(gamma * 2.0 * p.modulation / p.delta_gap - reference) < 1e-13
-    for t in np.linspace(0.0, 5 * p.period, 2001):
+    grid = np.linspace(0.0, 5 * p.period, 2001)
+    on_grid = dec.gamma_at(grid)
+    for t, gamma_t in zip(grid, on_grid):
         gamma, _ = phase_gamma(p, float(t))
         assert math.isfinite(gamma) and gamma == dec.gamma_at(float(t))
+        assert abs(gamma - gamma_t) < 1e-13
 
 
 def test_periodic_part_is_periodic():

@@ -36,5 +36,5 @@ def test_sloc_skips_blanks_comments_and_docstrings(tmp_path):
 
 
 def test_sloc_counts_the_package(capsys):
-    assert sloc.main(["sloc.py"]) == 0
+    assert sloc.main() == 0
     assert capsys.readouterr().out.splitlines()[-1].endswith("total")

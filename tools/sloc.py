@@ -4,8 +4,7 @@ A line counts when it holds part of a Python token other than a comment,
 and is not inside a docstring (the leading string of a module, class or
 function body).  Blank lines and comment-only lines do not count.
 
-Usage: ``python3 tools/sloc.py [ROOT]`` prints one line per file and the
-total; ROOT defaults to the ``src/`` directory beside this script.
+Usage: ``python3 tools/sloc.py`` prints one line per file and the total.
 """
 
 from __future__ import annotations
@@ -41,8 +40,8 @@ def count_file(path: Path) -> int:
     return len(code - docstring_lines(ast.parse(text)))
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src"
+def main() -> int:
+    root = Path(__file__).resolve().parent.parent / "src"
     total = 0
     for path in sorted(root.rglob("*.py")):
         n = count_file(path)
@@ -53,4 +52,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
