@@ -162,7 +162,7 @@ def build_phase_decomposition(params: SystemParams) -> PhaseDecomposition:
     every whole half-period of u adds pi M.  The periodic part, the scale
     times F(u) - M u, is therefore the scale times h(u) = S(u) - (M - c) u
     on [0, pi/2], odd about pi/2 and repeated with period pi in u.  h is
-    odd, so that is h(w) with w = u reduced modulo pi into (-pi/2, pi/2].
+    odd, so that is h(w) with w = u reduced modulo pi into [-pi/2, pi/2).
 
     M is G(0) summed from the same integer-order products: for r <= 11 it
     is within 2.5e-16 of mpmath, where the half-order ``jv`` of
@@ -190,9 +190,7 @@ def build_phase_decomposition(params: SystemParams) -> PhaseDecomposition:
     scale = 0.5 * params.delta_gap / delta
 
     def periodic_part(t):
-        # both the reduction modulo pi and the shift by pi are exact
-        u = np.mod(delta * np.asarray(t, dtype=float), math.pi)
-        u = u - math.pi * (u > 0.5 * math.pi)
+        u = np.mod(delta * np.asarray(t, dtype=float) + 0.5 * math.pi, math.pi) - 0.5 * math.pi
         return scale * (np.sin(np.multiply.outer(u, freq)) @ weight - drift * u)
 
     slope = 0.5 * params.delta_gap * mean
