@@ -19,7 +19,7 @@ import numpy as np
 from scipy import special
 
 from .model import SystemParams
-from .specfun import MAX_ARGUMENT, MAX_ORDER, bessel_j
+from .specfun import MAX_ORDER, bessel_j, bessel_products
 
 __all__ = [
     "PhaseDecomposition",
@@ -65,22 +65,6 @@ def _half_order_bessel(order: int, ratio):
     return special.jv(0.5 * order, ratio)
 
 
-def _bessel_products(order: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies j = 2k - N and products J_k(r) J_{N-k}(r) of the expansion
-    J_N(2 r cos u) = sum_k J_k(r) J_{N-k}(r) cos(j u) (Jacobi-Anger, DLMF 10.12).
-
-    |J_k(r)| < 1e-18 past |k| = span for every r <= MAX_ARGUMENT / 2, so the
-    sum stops there; every factor has magnitude <= 1 and no term can overflow.
-    """
-    if 2.0 * ratio > MAX_ARGUMENT:
-        raise ValueError(f"envelope argument 2 A/omega_0 = {2.0 * ratio!r} "
-                         f"outside <= {MAX_ARGUMENT}")
-    span = int(ratio + 15.0 * np.cbrt(ratio) + 20.0)
-    k = np.arange(-span, order + span + 1)
-    bessel = special.jv(k, ratio)
-    return 2 * k - order, bessel * bessel[::-1]
-
-
 def _half_period_mean(order: int, j: np.ndarray) -> np.ndarray:
     """s(j) = (2/pi) int_0^{pi/2} cos(j u) du for integers j of the parity of N:
     1 at j = 0, 0 at every other even j and 2 (-1)^{(j-1)/2} / (pi j) at odd j."""
@@ -91,7 +75,7 @@ def _half_period_mean(order: int, j: np.ndarray) -> np.ndarray:
 
 def _coupling_harmonics(order: int, j: np.ndarray, products: np.ndarray,
                         n_max: int) -> np.ndarray:
-    """G(0), ..., G(n_max) of J_N(2 r |cos u|) from ``_bessel_products``.
+    """G(0), ..., G(n_max) of J_N(2 r |cos u|) from ``specfun.bessel_products``.
 
     G(n) = sum_k J_k(r) J_{N-k}(r) s(2k - N - 2n) (see ``fourier_phase``).
     """
@@ -180,7 +164,7 @@ def build_phase_decomposition(params: SystemParams) -> PhaseDecomposition:
     order = params.order
     if order > MAX_ORDER:
         raise ValueError(f"order {order} outside <= {MAX_ORDER}")
-    j, products = _bessel_products(order, params.drive_ratio)
+    j, products = bessel_products(order, params.drive_ratio)
     keep = (j > 0) & (np.abs(products) > np.finfo(float).eps * np.max(np.abs(products)))
     freq = j[keep].astype(float)
     weight = 2.0 * products[keep] / freq
@@ -260,7 +244,7 @@ def fourier_phase(params: SystemParams, n_max: int) -> FourierPhase:
     if n_max != int(n_max) or int(n_max) < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
     order = params.order
-    positive = _coupling_harmonics(order, *_bessel_products(order, params.drive_ratio), int(n_max))
+    positive = _coupling_harmonics(order, *bessel_products(order, params.drive_ratio), int(n_max))
     coefficients = np.concatenate((positive[:0:-1], positive))
     return FourierPhase(coefficients=coefficients, period=params.period)
 

@@ -51,6 +51,7 @@ def test_tunneling_amplitude_zero_drive():
     p = make_params(ratio=0.0)
     for t in (0.0, 1.0, 500.0):
         assert tunneling_amplitude(p, t) == 0.0
+    assert np.array_equal(tunneling_amplitude(p, np.array([0.0, 1.0, 500.0])), np.zeros(3))
 
 
 def test_tunneling_amplitude_weak_drive_envelope():

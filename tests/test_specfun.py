@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special
 
 from floquet_qubit.specfun import bessel_j
 
@@ -63,6 +64,11 @@ def test_bessel_parity():
         x = float(rng.uniform(0.0, 30.0))
         assert bessel_j(n, -x) == pytest.approx((-1.0) ** n * bessel_j(n, x), abs=1e-15)
         assert bessel_j(-n, x) == pytest.approx((-1.0) ** n * bessel_j(n, x), abs=1e-15)
+    xs = rng.uniform(0.0, 30.0, 64)
+    for n in (0, 1, 2, 7, 40):
+        vec = bessel_j(n, xs)
+        assert bessel_j(n, -xs) == pytest.approx((-1.0) ** n * vec, abs=1e-15)
+        assert bessel_j(-n, xs) == pytest.approx((-1.0) ** n * vec, abs=1e-15)
 
 
 def test_bessel_normalization_sum():
@@ -74,7 +80,7 @@ def test_bessel_normalization_sum():
 
 
 def test_bessel_vectorised_matches_scalar():
-    # batched and scalar calls may pick different recurrence depths, so they
+    # arrays sum a Chebyshev series and scalars go to scipy's jv, so they
     # agree to accuracy rather than bit-for-bit
     x = np.linspace(0.0, 120.0, 257)
     for n in (0, 1, 4, 9):
@@ -82,6 +88,28 @@ def test_bessel_vectorised_matches_scalar():
         assert vec.shape == x.shape
         for i in (0, 17, 100, 256):
             assert vec[i] == pytest.approx(bessel_j(n, float(x[i])), rel=5e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 40, 120, 200, -3, -200])
+def test_bessel_array_matches_mpmath_over_the_domain(n):
+    # one array per order mixes the whole domain, 0 included, with tiny and
+    # near-extreme magnitudes and points at the first zeros of J_|n|, so
+    # every value shares the series of the largest |x|
+    zeros = special.jn_zeros(abs(n), 3)
+    x = np.concatenate((np.linspace(-1000.0, 1000.0, 81),
+                        [1e-300, -1e-12, 3e-5, 0.01, -0.7, 2.5, 9.0, 55.5, 999.99],
+                        zeros, -zeros))
+    got = bessel_j(n, x)
+    ref = np.array([mp_besselj(n, v) for v in x])
+    assert np.max(np.abs(got - ref)) < 1e-13
+
+
+def test_bessel_array_exact_at_zero():
+    for n in range(7):
+        delta = 1.0 if n == 0 else 0.0
+        assert np.array_equal(bessel_j(n, np.zeros(5)), np.full(5, delta))
+        mixed = bessel_j(n, np.array([0.0, 1.0, 0.0, 500.0]))
+        assert mixed[0] == delta and mixed[2] == delta
 
 
 def test_bessel_domain_errors():
