@@ -88,12 +88,15 @@ def bessel_j(order: int, x):
         return parity * float(special.jv(n, xf))
 
     xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)) or np.any(np.abs(xa) > MAX_ARGUMENT):
+    top = float(np.max(np.abs(xa), initial=0.0))  # NaN if any x is NaN
+    if not top <= MAX_ARGUMENT:
         raise ValueError(f"bessel_j argument outside |x| <= {MAX_ARGUMENT}")
-    top = float(np.max(np.abs(xa), initial=0.0))
     j, products = bessel_products(n, 0.5 * top)
+    # chebtrim leaves one zero coefficient when every product underflows
+    # (high order, small |x|)
     tol = np.finfo(float).eps * float(np.max(np.abs(products)))
     coefficients = chebyshev.chebtrim(np.bincount(np.abs(j), weights=products), tol)
+    # top = 0 only when every x is 0; the series leaves rounding at t = 0,
+    # where J_N(0) is exactly 1 for N = 0 and 0 otherwise
     out = chebyshev.chebval(xa / (top or 1.0), coefficients)
-    out = np.where(xa == 0.0, 1.0 if n == 0 else 0.0, out)
-    return parity * out
+    return parity * np.where(xa == 0.0, 1.0 if n == 0 else 0.0, out)

@@ -122,5 +122,7 @@ def test_bessel_domain_errors():
     with pytest.raises(ValueError):
         bessel_j(0, float("nan"))
     with pytest.raises(ValueError):
+        bessel_j(0, np.array([0.5, np.nan]))
+    with pytest.raises(ValueError):
         bessel_j(1.5, 1.0)
 
