@@ -1,102 +1,15 @@
 """Quasienergies and population dynamics of a qubit in an amplitude-modulated
-(bichromatic) drive, with a direct Schrodinger-equation oracle."""
+(bichromatic) drive, with a direct Schrodinger-equation oracle.
 
-from .analysis import (
-    PeriodicityResult,
-    SpectralLine,
-    periodicity_residual,
-    quasienergy_zeros,
-    solve_periodic_ratio,
-    spectral_lines,
-    trace_periodicity_check,
-    xconfig_spectral_lines,
-)
-from .dynamics import (
-    AmplitudePair,
-    IntegrationError,
-    PopulationTrace,
-    XConfigPoint,
-    analytic_populations,
-    evolve_corrected,
-    evolve_full,
-    evolve_reduced,
-    integrate_corrected,
-    integrate_full,
-    integrate_reduced,
-    rabi_frequency,
-    xconfig_dynamics,
-)
-from .floquet import (
-    FourierPhase,
-    PhaseDecomposition,
-    QesState,
-    WeakDriveForms,
-    build_phase_decomposition,
-    effective_bessel_argument,
-    fourier_phase,
-    mean_bessel,
-    phase_gamma,
-    qes_state,
-    quasienergy,
-    quasienergy_pair,
-    reconstruct_periodic_phase,
-    tunneling_amplitude,
-    weak_forms,
-)
-from .model import (
-    RegimeReport,
-    SystemParams,
-    circuit_controls,
-    drive_field,
-    hamiltonian,
-    phase_phi,
-    validate_regime,
-)
+The package re-exports the public names (``__all__``) of ``analysis``,
+``dynamics``, ``floquet`` and ``model``."""
+
+from . import analysis, dynamics, floquet, model
+from .analysis import *  # noqa: F401,F403
+from .dynamics import *  # noqa: F401,F403
+from .floquet import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmplitudePair",
-    "FourierPhase",
-    "IntegrationError",
-    "PeriodicityResult",
-    "PhaseDecomposition",
-    "PopulationTrace",
-    "QesState",
-    "RegimeReport",
-    "SpectralLine",
-    "SystemParams",
-    "WeakDriveForms",
-    "XConfigPoint",
-    "analytic_populations",
-    "build_phase_decomposition",
-    "circuit_controls",
-    "drive_field",
-    "effective_bessel_argument",
-    "evolve_corrected",
-    "evolve_full",
-    "evolve_reduced",
-    "fourier_phase",
-    "hamiltonian",
-    "integrate_corrected",
-    "integrate_full",
-    "integrate_reduced",
-    "mean_bessel",
-    "periodicity_residual",
-    "phase_gamma",
-    "phase_phi",
-    "qes_state",
-    "quasienergy",
-    "quasienergy_pair",
-    "quasienergy_zeros",
-    "rabi_frequency",
-    "reconstruct_periodic_phase",
-    "solve_periodic_ratio",
-    "spectral_lines",
-    "trace_periodicity_check",
-    "tunneling_amplitude",
-    "validate_regime",
-    "weak_forms",
-    "xconfig_dynamics",
-    "xconfig_spectral_lines",
-]
+__all__ = analysis.__all__ + dynamics.__all__ + floquet.__all__ + model.__all__

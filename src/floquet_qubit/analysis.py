@@ -61,8 +61,7 @@ class PeriodicityResult:
 
 
 def quasienergy_zeros(params_base: SystemParams, ratio_min: float, ratio_max: float,
-                      tol: float = ZERO_REFINE_TOL,
-                      grid_step: float = ZERO_SCAN_STEP) -> list[float]:
+                      tol: float = ZERO_REFINE_TOL) -> list[float]:
     """All zeros of A/omega_0 -> E_N inside [ratio_min, ratio_max].
 
     E_N is proportional to J_{N/2}(A/omega_0)^2 (``floquet.mean_bessel``), so
@@ -76,14 +75,14 @@ def quasienergy_zeros(params_base: SystemParams, ratio_min: float, ratio_max: fl
     """
     if ratio_min < 0 or ratio_max <= ratio_min:
         raise ValueError("need 0 <= ratio_min < ratio_max")
-    if tol <= 0 or grid_step <= 0:
-        raise ValueError("tol and grid_step must be > 0")
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
     if params_base.delta_gap == 0.0:
         return []
 
     order = params_base.order
     lo, hi = max(ratio_min - tol, 0.0), ratio_max + tol
-    grid = np.linspace(lo, hi, int(math.ceil((hi - lo) / grid_step)) + 1)
+    grid = np.linspace(lo, hi, int(math.ceil((hi - lo) / ZERO_SCAN_STEP)) + 1)
     values = _half_order_bessel(order, grid)
     # J_{N/2} vanishes at A = 0 and underflows to zero just above it at high
     # order; dropping exact zeros leaves only genuine sign changes
@@ -131,21 +130,16 @@ def solve_periodic_ratio(params_base: SystemParams, m: int, n: int) -> float:
     return (int(n) / int(m)) * 0.5 * mean_bessel(params_base)
 
 
-def trace_periodicity_check(trace: PopulationTrace, period: float, reps: int = 1,
-                            tol: float = 1.0e-2) -> float:
+def trace_periodicity_check(trace: PopulationTrace, period: float, reps: int = 1) -> float:
     """Largest repetition defect max_t |P1(t + k period) - P1(t)|, k = 1..reps.
 
-    Shifted samples are linearly interpolated on the trace.  ``tol`` is the
-    gate the caller (and the CLI) compares the returned deviation against;
-    it does not alter the computation.  Raises if the trace spans less than
-    (reps + 1) periods.
+    Shifted samples are linearly interpolated on the trace.  Raises if the
+    trace spans less than (reps + 1) periods.
     """
     if period <= 0:
         raise ValueError("period must be > 0")
     if reps != int(reps) or int(reps) < 1:
         raise ValueError("reps must be a positive integer")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     reps = int(reps)
     t = trace.times
     span = t[-1] - t[0]
@@ -170,8 +164,8 @@ def spectral_lines(params: SystemParams,
     are dropped.  Positive frequencies are absorption lines, negative ones
     amplification.
     """
-    if weight_threshold < 0:
-        raise ValueError("weight_threshold must be >= 0")
+    if not weight_threshold >= 0:
+        raise ValueError(f"weight_threshold must be >= 0, got {weight_threshold!r}")
     if index_cutoff is None:
         index_cutoff = int(math.ceil(params.drive_ratio)) + 20
     if index_cutoff != int(index_cutoff) or int(index_cutoff) < 0:

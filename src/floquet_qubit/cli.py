@@ -13,13 +13,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .analysis import periodicity_residual, quasienergy_zeros, spectral_lines
-from .dynamics import (analytic_populations, integrate_corrected, integrate_full,
-                       integrate_reduced)
+from .analysis import (DEFAULT_WEIGHT_THRESHOLD, periodicity_residual, quasienergy_zeros,
+                       spectral_lines)
+from .dynamics import (DEFAULT_SAMPLES, DEFAULT_TOL, analytic_populations,
+                       integrate_corrected, integrate_full, integrate_reduced)
 from .floquet import quasienergy
 from .model import SystemParams
 
@@ -30,15 +31,32 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
 
 
-_FLOAT_KEYS = {
-    "epsilon0", "delta_gap", "amplitude", "carrier", "modulation",
-    "tol", "ratio_min", "ratio_max", "ratio_step", "t_end", "weight_threshold",
+# Every config key and flag: its type, and either its choices or the rule a
+# valid value meets ("<op> <number or key>"; a value meeting a rule is also
+# finite).  SystemParams checks the physical keys (its fields); the carrier
+# has a rule here too because the other physical defaults derive from it.
+_KEYS = {
+    "epsilon0": (float, None),
+    "delta_gap": (float, None),
+    "amplitude": (float, None),
+    "carrier": (float, "> 0"),
+    "modulation": (float, None),
+    "order": (int, None),
+    "tol": (float, "> 0"),
+    "ratio_min": (float, ">= 0"),
+    "ratio_max": (float, "> ratio_min"),
+    "ratio_step": (float, "> 0"),
+    "t_end": (float, "> 0"),
+    "samples": (int, ">= 2"),
+    "method": (str, ("analytic", "reduced")),
+    "axis": (str, ("z", "x")),
+    "m_max": (int, ">= 1"),
+    "n_max": (int, ">= 1"),
+    "weight_threshold": (float, ">= 0"),
+    "index_cutoff": (int, ">= 0"),
+    "format": (str, ("csv", "json")),
+    "out": (str, None),
 }
-_INT_KEYS = {"order", "samples", "m_max", "n_max", "index_cutoff"}
-_STR_KEYS = {"method", "axis", "format", "out"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
-
-_COMMANDS = ("sweep", "dynamics", "zeros", "periodicity", "spectrum", "oracle")
 
 
 @dataclass(frozen=True)
@@ -49,18 +67,52 @@ class RunConfig:
     params: SystemParams
     out: str
     fmt: str
-    tol: float = 1.0e-9
+    t_end: float  # derived from the modulation when not given
+    tol: float = DEFAULT_TOL
     ratio_min: float = 0.0
     ratio_max: float = 11.0
     ratio_step: float = 0.02
-    t_end: float = 0.0
-    samples: int = 2001
+    samples: int = DEFAULT_SAMPLES
     method: str = "analytic"
     axis: str = "z"
     m_max: int = 6
     n_max: int = 6
-    weight_threshold: float = 1.0e-8
-    index_cutoff: int | None = None
+    weight_threshold: float = DEFAULT_WEIGHT_THRESHOLD
+    index_cutoff: int | None = None  # None: spectral_lines' ceil(A/omega_0) + 20
+
+
+def _typed(key: str, raw):
+    """``raw`` (config-file text or a typed override) as the type of ``key``."""
+    if key not in _KEYS:
+        raise ConfigError(f"unknown key '{key}'")
+    kind, rule = _KEYS[key]
+    if isinstance(rule, tuple):
+        if raw not in rule:
+            raise ConfigError(f"invalid value for '{key}': {raw!r} "
+                              f"(expected {' or '.join(rule)})")
+        return raw
+    try:
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    # int(2.7) truncates: only text or an integral number is an integer
+    if value is None or (kind is int and not isinstance(raw, str) and value != raw):
+        noun = "integer" if kind is int else "number"
+        raise ConfigError(f"invalid {noun} for '{key}': {raw!r}")
+    return value
+
+
+def _check(key: str, value, config: RunConfig | None = None) -> None:
+    """Raise unless ``value`` is finite and meets the rule of ``key``."""
+    rule = _KEYS[key][1]
+    if value is None or not isinstance(rule, str):
+        return
+    if not math.isfinite(value):
+        raise ConfigError(f"invalid value for '{key}': must be finite, got {value}")
+    op, bound = rule.split()
+    bound = getattr(config, bound) if bound in _KEYS else float(bound)
+    if not (value > bound if op == ">" else value >= bound):
+        raise ConfigError(f"invalid value for '{key}': must be {rule}, got {value}")
 
 
 def _parse_source(source: str) -> dict:
@@ -72,20 +124,7 @@ def _parse_source(source: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"unknown key '{key}'")
-        if key in _FLOAT_KEYS:
-            try:
-                values[key] = float(raw)
-            except ValueError:
-                raise ConfigError(f"invalid number for '{key}': {raw!r}") from None
-        elif key in _INT_KEYS:
-            try:
-                values[key] = int(raw)
-            except ValueError:
-                raise ConfigError(f"invalid integer for '{key}': {raw!r}") from None
-        else:
-            values[key] = raw
+        values[key] = _typed(key, raw)
     return values
 
 
@@ -100,82 +139,35 @@ def parse_config(source: str, overrides: dict | None = None,
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command '{command}'")
     values = _parse_source(source)
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"unknown key '{key}'")
-        values[key] = value
+    values.update((key, _typed(key, value)) for key, value in (overrides or {}).items()
+                  if value is not None)
 
     # physical parameters, later defaults derived from earlier ones; the
     # carrier is checked first so a bad value is reported under its own key
     # rather than through a derived default
-    carrier = float(values.get("carrier", 1.0))
-    if not carrier > 0:
-        raise ConfigError(f"invalid value for 'carrier': must be > 0, got {carrier}")
-    modulation = float(values.get("modulation", carrier / 1000.0))
-    order = int(values.get("order", 1))
-    epsilon0 = float(values.get("epsilon0", order * carrier))
-    delta_gap = float(values.get("delta_gap", carrier / 100.0))
-    amplitude = float(values.get("amplitude", 0.1 * carrier))
+    carrier = values.setdefault("carrier", 1.0)
+    _check("carrier", carrier)
+    values.setdefault("modulation", carrier / 1000.0)
+    order = values.setdefault("order", 1)
+    values.setdefault("epsilon0", order * carrier)
+    values.setdefault("delta_gap", carrier / 100.0)
+    values.setdefault("amplitude", 0.1 * carrier)
     try:
-        params = SystemParams(epsilon0=epsilon0, delta_gap=delta_gap,
-                              amplitude=amplitude, carrier=carrier,
-                              modulation=modulation, order=order)
+        params = SystemParams(**{f.name: values.pop(f.name) for f in fields(SystemParams)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    values.setdefault("t_end", 5.0 * math.pi / params.modulation)
 
-    fmt = values.get("format")
+    fmt = values.pop("format", None)
     if fmt is None:
         raise ConfigError("missing key 'format' (csv or json)")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"invalid value for 'format': {fmt!r} (expected csv or json)")
-    out = values.get("out")
-    if not out:
+    if not values.get("out"):
         raise ConfigError("missing key 'out' (output path)")
-
-    tol = float(values.get("tol", 1.0e-9))
-    if tol <= 0:
-        raise ConfigError(f"invalid value for 'tol': must be > 0, got {tol}")
-    ratio_min = float(values.get("ratio_min", 0.0))
-    ratio_max = float(values.get("ratio_max", 11.0))
-    ratio_step = float(values.get("ratio_step", 0.02))
-    if ratio_min < 0:
-        raise ConfigError(f"invalid value for 'ratio_min': must be >= 0, got {ratio_min}")
-    if ratio_max <= ratio_min:
-        raise ConfigError("invalid range: 'ratio_max' must exceed 'ratio_min'")
-    if ratio_step <= 0:
-        raise ConfigError(f"invalid value for 'ratio_step': must be > 0, got {ratio_step}")
-    t_end = float(values.get("t_end", 5.0 * math.pi / params.modulation))
-    if t_end <= 0:
-        raise ConfigError(f"invalid value for 't_end': must be > 0, got {t_end}")
-    samples = int(values.get("samples", 2001))
-    if samples < 2:
-        raise ConfigError(f"invalid value for 'samples': must be >= 2, got {samples}")
-    method = values.get("method", "analytic")
-    if method not in ("analytic", "reduced"):
-        raise ConfigError(f"invalid value for 'method': {method!r}")
-    axis = values.get("axis", "z")
-    if axis not in ("z", "x"):
-        raise ConfigError(f"invalid value for 'axis': {axis!r}")
-    m_max = int(values.get("m_max", 6))
-    n_max = int(values.get("n_max", 6))
-    if m_max < 1 or n_max < 1:
-        raise ConfigError("invalid value for 'm_max'/'n_max': must be >= 1")
-    weight_threshold = float(values.get("weight_threshold", 1.0e-8))
-    if weight_threshold < 0:
-        raise ConfigError("invalid value for 'weight_threshold': must be >= 0")
-    index_cutoff = values.get("index_cutoff")
-    if index_cutoff is not None:
-        index_cutoff = int(index_cutoff)
-        if index_cutoff < 0:
-            raise ConfigError("invalid value for 'index_cutoff': must be >= 0")
-
-    return RunConfig(command=command, params=params, out=str(out), fmt=str(fmt),
-                     tol=tol, ratio_min=ratio_min, ratio_max=ratio_max,
-                     ratio_step=ratio_step, t_end=t_end, samples=samples,
-                     method=method, axis=axis, m_max=m_max, n_max=n_max,
-                     weight_threshold=weight_threshold, index_cutoff=index_cutoff)
+    config = RunConfig(command=command, params=params, fmt=fmt, **values)
+    for f in fields(config):
+        if f.name in _KEYS:
+            _check(f.name, getattr(config, f.name), config)
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -294,19 +286,23 @@ def _run_oracle(config: RunConfig) -> None:
     print(f"max_abs_err_corrected = {format_real(float(np.max(np.abs(corrected.p1 - full.p1))))}")
 
 
-_RUNNERS = {
-    "sweep": _run_sweep,
-    "dynamics": _run_dynamics,
-    "zeros": _run_zeros,
-    "periodicity": _run_periodicity,
-    "spectrum": _run_spectrum,
-    "oracle": _run_oracle,
+# command: (runner, help)
+_COMMANDS = {
+    "sweep": (_run_sweep, "quasienergy versus drive ratio A/omega_0"),
+    "dynamics": (_run_dynamics,
+                 "population trace from the resonant closed form or the reduced ODE"),
+    "zeros": (_run_zeros, "zeros of the quasienergy in a drive-ratio window"),
+    "periodicity": (_run_periodicity,
+                    "residuals of the periodic-oscillation condition over (m, n)"),
+    "spectrum": (_run_spectrum, "probe spectral-line catalog (frequency and weight per line)"),
+    "oracle": (_run_oracle, "analytic populations against the full integration, with error "
+                            "column; also prints the corrected reduction's maximum error"),
 }
 
 
 def run(config: RunConfig) -> int:
     """Execute one validated run; returns the process exit status."""
-    _RUNNERS[config.command](config)
+    _COMMANDS[config.command][0](config)
     return 0
 
 
@@ -320,44 +316,25 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Quasienergies and dynamics of a qubit in an "
                     "amplitude-modulated (bichromatic) drive.")
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "sweep": "quasienergy versus drive ratio A/omega_0",
-        "dynamics": "population trace from the resonant closed form or the reduced ODE",
-        "zeros": "zeros of the quasienergy in a drive-ratio window",
-        "periodicity": "residuals of the periodic-oscillation condition over (m, n)",
-        "spectrum": "probe spectral-line catalog (frequency and weight per line)",
-        "oracle": ("analytic populations against the full integration, with error column; "
-                   "also prints the corrected reduction's maximum error"),
-    }
-    for command in _COMMANDS:
-        sp = sub.add_parser(command, help=descriptions[command])
+    for command, (_, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
         sp.add_argument("--config", help="flat key = value config file")
-        sp.add_argument("--out", help="output file path")
-        sp.add_argument("--format", choices=("csv", "json"), help="output format")
-        for key in sorted(_FLOAT_KEYS - {"tol"}):
-            sp.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key)
-        sp.add_argument("--tol", type=float)
-        for key in sorted(_INT_KEYS):
-            sp.add_argument(f"--{key.replace('_', '-')}", type=int, dest=key)
-        sp.add_argument("--method", choices=("analytic", "reduced"))
-        sp.add_argument("--axis", choices=("z", "x"))
+        for key, (kind, rule) in _KEYS.items():
+            sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind,
+                            choices=rule if isinstance(rule, tuple) else None)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {key: getattr(args, key, None) for key in _ALL_KEYS}
+    overrides = {key: getattr(args, key) for key in _KEYS}
     source = ""
     try:
         if args.config:
             with open(args.config, "r", encoding="utf-8") as handle:
                 source = handle.read()
-        config = parse_config(source, overrides=overrides, command=args.command)
-        return run(config)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError) as exc:
+        return run(parse_config(source, overrides=overrides, command=args.command))
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -212,17 +212,14 @@ def validate_regime(params: SystemParams) -> RegimeReport:
     return RegimeReport(detuning=detuning, warnings=tuple(warnings))
 
 
-def circuit_controls(ej0: float, ec: float, cg: float,
+def circuit_controls(ej0: float, ec: float,
                      flux_ratio: float, gate_charge: float) -> tuple[float, float]:
     """Effective control fields of a charge qubit with a tunable junction.
 
     Returns (bx, bz) with bx = 2 ej0 cos(pi flux_ratio) set by the external
     flux (in units of the flux quantum) and bz = 4 ec (1 - gate_charge) set
-    by the reduced gate charge.  ``cg`` is the gate-capacitance ratio carried
-    along for completeness of the control record; it is already folded into
-    ``gate_charge`` and does not enter the formulas.
+    by the reduced gate charge (the gate capacitance enters only through it).
     """
-    del cg
     bx = 2.0 * ej0 * math.cos(math.pi * flux_ratio)
     bz = 4.0 * ec * (1.0 - gate_charge)
     return bx, bz

@@ -290,6 +290,12 @@ def test_spectral_rejects_inputs_past_the_bessel_domain():
         spectral_lines(make_params(ratio=1000.5), index_cutoff=5)
 
 
+@pytest.mark.parametrize("threshold", [-1.0, math.nan])
+def test_spectral_rejects_a_threshold_below_zero_or_nan(threshold):
+    with pytest.raises(ValueError, match="weight_threshold"):
+        spectral_lines(make_params(), weight_threshold=threshold)
+
+
 # ---------------------------------------------------------------------------
 # x-configuration lines
 # ---------------------------------------------------------------------------

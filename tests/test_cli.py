@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import floquet_qubit
+from floquet_qubit import cli
 from floquet_qubit.cli import ConfigError, format_real, main, parse_config
 
 
@@ -65,11 +67,120 @@ def test_flags_override_file():
 
 
 def test_flags_alone_match_file_form():
-    overrides = dict(epsilon0=1.0, delta_gap=0.01, amplitude=0.1, carrier=1.0,
-                     modulation=1e-3, order=1, format="csv", out="x.csv")
+    # every key, each off its default
+    overrides = dict(epsilon0=2.0, delta_gap=0.02, amplitude=0.3, carrier=1.0,
+                     modulation=2e-3, order=2, tol=1e-7, ratio_min=0.5, ratio_max=4.0,
+                     ratio_step=0.25, t_end=300.0, samples=11, method="reduced", axis="x",
+                     m_max=3, n_max=4, weight_threshold=1e-6, index_cutoff=5,
+                     format="json", out="x.json")
+    assert set(overrides) == set(cli._KEYS)
+    source = "".join(f"{key} = {value}\n" for key, value in overrides.items())
     from_flags = parse_config("", overrides=overrides, command="dynamics")
-    from_file = parse_config(BASE_FILE, overrides={"out": "x.csv"}, command="dynamics")
+    from_file = parse_config(source, command="dynamics")
     assert from_flags == from_file
+    assert from_file.index_cutoff == 5 and from_file.axis == "x" and from_file.fmt == "json"
+    assert from_file.params.order == 2 and from_file.t_end == 300.0
+
+
+_VALID = {"format": "csv", "out": "x.csv"}
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"tol": 0.0}, "tol"),
+    ({"ratio_min": -1.0}, "ratio_min"),
+    ({"ratio_min": 2.0, "ratio_max": 1.0}, "ratio_max"),
+    ({"ratio_min": 12.0}, "ratio_max"),  # past the default ratio_max
+    ({"ratio_step": 0.0}, "ratio_step"),
+    ({"t_end": 0.0}, "t_end"),
+    ({"samples": 1}, "samples"),
+    ({"m_max": 0}, "m_max"),
+    ({"n_max": 0}, "n_max"),
+    ({"weight_threshold": -1.0}, "weight_threshold"),
+    ({"index_cutoff": -1}, "index_cutoff"),
+    ({"method": "exact"}, "method"),
+    ({"axis": "y"}, "axis"),
+    ({"format": "xml"}, "format"),
+    ({"format": None}, "format"),
+    ({"out": ""}, "out"),
+    ({"carrier": 0.0}, "carrier"),
+    # not finite
+    ({"weight_threshold": math.nan}, "weight_threshold"),
+    ({"ratio_max": math.inf}, "ratio_max"),
+    ({"ratio_step": math.nan}, "ratio_step"),
+    ({"tol": math.nan}, "tol"),
+    ({"ratio_min": math.nan}, "ratio_min"),
+    ({"t_end": math.inf}, "t_end"),
+    ({"carrier": math.inf}, "carrier"),
+    ({"carrier": math.nan}, "carrier"),
+    ({"amplitude": math.nan}, "amplitude"),
+    # not integral
+    ({"order": 1.5}, "order"),
+    ({"samples": 2.7}, "samples"),
+    ({"m_max": 1.5}, "m_max"),
+    ({"index_cutoff": 0.5}, "index_cutoff"),
+    ({"samples": math.nan}, "samples"),
+])
+def test_invalid_value_is_named(overrides, key):
+    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        parse_config("", overrides={**_VALID, **overrides}, command="sweep")
+
+
+def test_non_integral_file_value_is_named():
+    with pytest.raises(ConfigError, match="'samples'"):
+        parse_config("samples = 2.7\nformat = csv\nout = x\n", command="dynamics")
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("spectrum", "--weight-threshold", "nan"),
+    ("sweep", "--ratio-max", "inf"),
+    ("sweep", "--ratio-step", "nan"),
+    ("zeros", "--tol", "nan"),
+])
+def test_cli_rejects_non_finite_flags(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "x.csv"
+    code = main([command, flag, value, "--out", str(out), "--format", "csv"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{flag[2:].replace('-', '_')}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt, expected", [
+    ("csv", "m,n,residual,is_periodic\n"
+            "1,1,6.82749733070e-01,0\n"
+            "1,2,1.68274973307e+00,0\n"),
+    ("json", "[\n"
+             '  {"m": 1, "n": 1, "residual": 6.82749733070e-01, "is_periodic": false},\n'
+             '  {"m": 1, "n": 2, "residual": 1.68274973307e+00, "is_periodic": false}\n'
+             "]\n"),
+])
+def test_periodicity_output_golden(tmp_path, capsys, fmt, expected):
+    out = tmp_path / f"p.{fmt}"
+    assert main(["periodicity", "--m-max", "1", "--n-max", "2", "--out", str(out),
+                 "--format", fmt]) == 0
+    assert out.read_bytes() == expected.encode()
+    assert capsys.readouterr().out == f"periodicity: wrote 2 candidates to {out}\n"
+
+
+# the package's public names before each module's __all__ was re-exported whole
+_PUBLIC_NAMES = (
+    "AmplitudePair FourierPhase IntegrationError PeriodicityResult PhaseDecomposition "
+    "PopulationTrace QesState RegimeReport SpectralLine SystemParams WeakDriveForms "
+    "XConfigPoint analytic_populations build_phase_decomposition circuit_controls "
+    "drive_field effective_bessel_argument evolve_corrected evolve_full evolve_reduced "
+    "fourier_phase hamiltonian integrate_corrected integrate_full integrate_reduced "
+    "mean_bessel periodicity_residual phase_gamma phase_phi qes_state quasienergy "
+    "quasienergy_pair quasienergy_zeros rabi_frequency reconstruct_periodic_phase "
+    "solve_periodic_ratio spectral_lines trace_periodicity_check tunneling_amplitude "
+    "validate_regime weak_forms xconfig_dynamics xconfig_spectral_lines").split()
+
+
+def test_public_names_still_import():
+    assert len(_PUBLIC_NAMES) == 43
+    assert set(_PUBLIC_NAMES) <= set(floquet_qubit.__all__)
+    for name in floquet_qubit.__all__:
+        assert getattr(floquet_qubit, name) is not None
+    assert len(floquet_qubit.__all__) == len(set(floquet_qubit.__all__))
 
 
 def test_dynamics_zero_amplitude(tmp_path, capsys):

@@ -184,9 +184,9 @@ def test_validate_regime_fast_modulation_warns():
 
 
 def test_circuit_controls():
-    bx, _ = circuit_controls(1.0, 1.0, 0.5, flux_ratio=0.5, gate_charge=0.0)
+    bx, _ = circuit_controls(1.0, 1.0, flux_ratio=0.5, gate_charge=0.0)
     assert abs(bx) < 1e-15
-    _, bz = circuit_controls(1.0, 1.0, 0.5, flux_ratio=0.0, gate_charge=1.0)
+    _, bz = circuit_controls(1.0, 1.0, flux_ratio=0.0, gate_charge=1.0)
     assert bz == 0.0
-    bx, _ = circuit_controls(1.0, 1.0, 0.5, flux_ratio=0.0, gate_charge=0.0)
+    bx, _ = circuit_controls(1.0, 1.0, flux_ratio=0.0, gate_charge=0.0)
     assert bx == 2.0
