@@ -3,16 +3,24 @@ paper's form and in a corrected form, and the full Schrodinger oracle for
 both coupling configurations.
 
 Every evolution here is a 2x2 equation i y' = (b(t).sigma) y with a real
-field b, and one kernel propagates them all: the fourth-order Magnus method
-(Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).  A step of length h
-is exp(-i c.sigma) with c = (h/2)(b1 + b2) - (sqrt(3)/6) h^2 (b1 x b2), b1
-and b2 taken at the step's two Gauss-Legendre nodes; its closed form
-cos|c| - i sin|c| (c/|c|).sigma is a unit quaternion, so the propagation is
-unitary by construction.  The window is cut into segments at every sample
-time, every node of cos(delta t) (the kink of the paper's |cos| envelope)
-and, for the full Hamiltonian, every carrier period.  Each segment takes the
-same number of equal steps, multiplied pairwise; the segments are then
-chained in time order.  The steps per segment double from 2 until two
+field b, given as the pair (w, z) = (b_x + i b_y, b_z), and one kernel
+propagates them all: the fourth-order Magnus method (Blanes, Casas, Oteo &
+Ros, Phys. Rep. 470, 151 (2009)).  A step of length h is exp(-i c.sigma)
+with c = (h/2)(b1 + b2) - (sqrt(3)/6) h^2 (b1 x b2), b1 and b2 taken at the
+step's two Gauss-Legendre nodes; in the same form c is
+w_c = (h/2)(w1 + w2) - (sqrt(3)/6) h^2 i (z1 w2 - z2 w1) and
+z_c = (h/2)(z1 + z2) - (sqrt(3)/6) h^2 Im(conj(w1) w2).  Every SU(2) matrix
+[[alpha, -conj(beta)], [beta, conj(alpha)]] is carried as its Cayley-Klein
+pair (alpha, beta), its first column; a step is
+(cos|c| - i sinc z_c, -i sinc w_c) with sinc = sin|c| / |c|, so the
+propagation is unitary by construction, and the state (c1, c2) is itself
+the pair at the head of the chain.
+
+The window is cut into segments at every sample time, every node of
+cos(delta t) (the kink of the paper's |cos| envelope) and, for the full
+Hamiltonian, every carrier period.  Each segment takes the same number of
+equal steps, multiplied pairwise; the segments are then chained in time
+order.  The steps per segment double from 2 until two
 successive runs differ by at most 15 tol at every sample: halving the step
 of a fourth-order method cuts its error 16-fold, so ``tol`` bounds the
 Richardson estimate of the global error of the returned amplitudes.  The
@@ -222,14 +230,15 @@ def _evolve_two_amplitude(params: SystemParams, times, tol: float,
                           detuning: float) -> np.ndarray:
     """i c1' = -(delta_gap/2) J_N(w) e^{-i alpha} c2 and its mirror, with
     w = 2 r cos(delta t) (``signed``) or 2 r |cos(delta t)| and
-    alpha = detuning * t - N pi; as a generator b.sigma on (c1, c2),
-    b = -(delta_gap/2) J_N(w) (-1)^N (cos(detuning t), sin(detuning t), 0)."""
+    alpha = detuning * t - N pi; as a generator b.sigma on (c1, c2), the
+    field (w, z) = (b_x + i b_y, b_z) is
+    (-(delta_gap/2) J_N(w) (-1)^N exp(i detuning t), 0)."""
     scale = -0.5 * params.delta_gap * (-1.0) ** params.order
 
     def field(t):
         c = np.cos(params.modulation * t)
         g = scale * bessel_j(params.order, 2.0 * params.drive_ratio * (c if signed else np.abs(c)))
-        return g * np.array([np.cos(detuning * t), np.sin(detuning * t), np.zeros_like(t)])
+        return g * np.exp(1j * detuning * t), 0.0
 
     return _propagate(field, params, times, tol, initial, carrier_edges=False)
 
@@ -243,8 +252,9 @@ def evolve_full(params: SystemParams, axis: str, times, tol: float = DEFAULT_TOL
     """Integrate i d|psi>/dt = H(t)|psi> exactly; returns rows (c1, c2).
 
     H(t) is ``model.hamiltonian(params, axis, t)`` on the (c1, c2) = (down,
-    up) ordering, i.e. b(t).sigma with b = (-delta_gap/2, 0, e(t)) on the z
-    axis and (-e(t), 0, delta_gap/2) on the x axis, e(t) = (epsilon0 + f(t))/2.
+    up) ordering, i.e. b(t).sigma with the field (w, z) = (b_x + i b_y, b_z)
+    equal to (-delta_gap/2, e(t)) on the z axis and (-e(t), delta_gap/2) on
+    the x axis, e(t) = (epsilon0 + f(t))/2.
     It is propagated by the Magnus kernel of the module docstring, with step
     edges at every sample time, every node of cos(delta t) and every carrier
     period, so each segment spans at most one carrier period whatever the
@@ -258,8 +268,7 @@ def evolve_full(params: SystemParams, axis: str, times, tol: float = DEFAULT_TOL
 
     def field(t):
         e = 0.5 * (params.epsilon0 + drive_field(params, t))
-        hg = np.full_like(e, 0.5 * params.delta_gap)
-        return np.array([-hg, np.zeros_like(e), e] if axis == "z" else [-e, np.zeros_like(e), hg])
+        return (-0.5 * params.delta_gap, e) if axis == "z" else (-e, 0.5 * params.delta_gap)
 
     return _propagate(field, params, times, tol, initial, carrier_edges=True)
 
@@ -274,16 +283,16 @@ def integrate_full(params: SystemParams, axis: str, t_end: float,
 # ---------------------------------------------------------------------------
 # Magnus propagator
 # ---------------------------------------------------------------------------
-# A unit quaternion (q0, q1, q2, q3) stands for the SU(2) matrix
-# q0 - i (q1 sigma_x + q2 sigma_y + q3 sigma_z); arrays of them have the four
-# components on axis 0.
+# An SU(2) matrix [[alpha, -conj(beta)], [beta, conj(alpha)]] is stored as its
+# first column (alpha, beta), its Cayley-Klein pair; arrays of them are complex
+# with the pair on axis 0.  A field b enters as (w, z) = (b_x + i b_y, b_z).
 
 def _propagate(field, params: SystemParams, times, tol: float,
                initial: AmplitudePair | None, carrier_edges: bool) -> np.ndarray:
     """Amplitudes (c1, c2) at ``times`` of i y' = (b(t).sigma) y from
-    y(0) = ``initial`` (default |down>); ``field(t)`` returns b as a (3, n)
-    array for n times.  See the module docstring for the segments and the
-    step doubling.
+    y(0) = ``initial`` (default |down>); ``field(t)`` returns (w, z) for an
+    array of times, each an array or a constant.  See the module docstring
+    for the segments and the step doubling.
     """
     arr = _validate_times(times)
     if tol <= 0:
@@ -298,17 +307,16 @@ def _propagate(field, params: SystemParams, times, tol: float,
         edges.append(np.arange(1.0, params.carrier * t_end / (2.0 * math.pi)) * 2.0 * math.pi
                      / params.carrier)
     grid = np.unique(np.concatenate(edges))
-    # the state rides at the head of the chain as the quaternion whose
-    # matrix has (c1, c2) as its first column
-    c1, c2 = (1.0, 0.0) if initial is None else (complex(initial.c1), complex(initial.c2))
-    head = np.array([[c1.real], [-c2.imag], [c2.real], [-c1.imag]])
+    q = np.empty((2, grid.size), dtype=complex)
+    # the state rides at the head of the chain as the pair (c1, c2)
+    q[:, 0] = (1.0, 0.0) if initial is None else (initial.c1, initial.c2)
     previous, change, steps = None, math.inf, 2
     while steps <= _STEP_BUDGET:
         per_block = max(1, _BLOCK_STEPS // steps)
-        blocks = [head] + [_segment_propagators(field, grid[lo:lo + per_block + 1], steps)
-                           for lo in range(0, grid.size - 1, per_block)]
-        q = _running_products(np.concatenate(blocks, axis=1))[:, np.searchsorted(grid, arr)]
-        states = np.array([q[0] - 1j * q[3], q[2] - 1j * q[1]])
+        for lo in range(0, grid.size - 1, per_block):
+            q[:, lo + 1:lo + 1 + per_block] = _segment_propagators(
+                field, grid[lo:lo + per_block + 1], steps)
+        states = _running_products(q)[:, np.searchsorted(grid, arr)]
         if previous is not None:
             last, change = change, float(np.max(np.abs(states - previous)))
             if change <= 15.0 * tol:
@@ -329,42 +337,55 @@ def _propagate(field, params: SystemParams, times, tol: float,
 
 
 def _segment_propagators(field, edges: np.ndarray, steps: int) -> np.ndarray:
-    """One quaternion per segment between successive ``edges``: the product
-    of its ``steps`` equal fourth-order Magnus steps."""
+    """One pair per segment between successive ``edges``: the product of its
+    ``steps`` equal fourth-order Magnus steps."""
     length = np.diff(edges)
     h = np.repeat(length / steps, steps)
     mid = (edges[:-1, None] + length[:, None] * ((np.arange(steps) + 0.5) / steps)).ravel()
-    b1, b2 = field(mid - _GAUSS * h), field(mid + _GAUSS * h)
-    c = 0.5 * h * (b1 + b2) - _GAUSS * h * h * _cross(b1, b2)
-    angle = np.sqrt(np.sum(c * c, axis=0))
-    q = np.concatenate(([np.cos(angle)], c * np.sinc(angle / math.pi))).reshape(4, -1, steps)
+    q = _magnus_step(*_magnus_exponent(h, *field(mid - _GAUSS * h), *field(mid + _GAUSS * h)))
+    q = q.reshape(2, -1, steps)
     while q.shape[2] > 1:
-        q = _qmul(q[:, :, 1::2], q[:, :, 0::2])
+        q = _mul(q[:, :, 1::2], q[:, :, 0::2], np.empty_like(q[:, :, 1::2]))
     # the rounding of cos|c| repeats with one sign over equal steps; left in,
     # it adds up to a norm drift of 1e-11 over a 10^4-period window
-    return q[:, :, 0] / np.sqrt(np.sum(q[:, :, 0] ** 2, axis=0))
+    return q[:, :, 0] / np.sqrt(np.sum(np.abs(q[:, :, 0]) ** 2, axis=0))
+
+
+def _magnus_exponent(h, w1, z1, w2, z2):
+    """(w, z) of c = (h/2)(b1 + b2) - (sqrt(3)/6) h^2 (b1 x b2) for the
+    fields (w1, z1) and (w2, z2) at a step's two nodes."""
+    g = _GAUSS * h * h
+    return (0.5 * h * (w1 + w2) - 1j * g * (z1 * w2 - z2 * w1),
+            0.5 * h * (z1 + z2) - g * (np.conj(w1) * w2).imag)
+
+
+def _magnus_step(w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Pairs of exp(-i c.sigma) for c = (Re w, Im w, z):
+    (cos|c| - i sinc z, -i sinc w) with sinc = sin|c| / |c|, exactly (1, 0)
+    at c = 0."""
+    angle = np.sqrt(w.real ** 2 + w.imag ** 2 + z * z)
+    sinc = -1j * np.sinc(angle / math.pi)
+    return np.array([np.cos(angle) + sinc * z, sinc * w])
 
 
 def _running_products(q: np.ndarray) -> np.ndarray:
-    """Products q[:, k] ... q[:, 0] for every k, by recursive doubling."""
-    shift = 1
-    while shift < q.shape[1]:
-        q = np.concatenate((q[:, :shift], _qmul(q[:, shift:], q[:, :-shift])), axis=1)
+    """Products q[:, k] ... q[:, 0] for every k, in place, by recursive
+    doubling."""
+    buf, shift, n = np.empty_like(q), 1, q.shape[1]
+    while shift < n:
+        q[:, shift:] = _mul(q[:, shift:], q[:, :-shift], buf[:, :n - shift])
         shift *= 2
     return q
 
 
-def _qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Quaternion products a b (the matrix of b acts first):
-    (a0 b0 - a.b, a0 b + b0 a + a x b)."""
-    return np.concatenate(([a[0] * b[0] - np.sum(a[1:] * b[1:], axis=0)],
-                           a[0] * b[1:] + b[0] * a[1:] + _cross(a[1:], b[1:])))
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross products of 3-vectors stored on axis 0."""
-    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+def _mul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Pair products a b (the matrix of b acts first), written into ``out``:
+    (a0 b0 - conj(a1) b1, a1 b0 + conj(a0) b1)."""
+    np.multiply(a[0], b[0], out=out[0])
+    out[0] -= np.conj(a[1]) * b[1]
+    np.multiply(a[1], b[0], out=out[1])
+    out[1] += np.conj(a[0]) * b[1]
+    return out
 
 
 def _trace(evolve, t_end: float, times) -> PopulationTrace:
