@@ -73,7 +73,10 @@ def quasienergy_zeros(params_base: SystemParams, ratio_min: float, ratio_max: fl
     never reported, and a zero tunneling gap (E_N identically zero) gives no
     zeros.
     """
-    if ratio_min < 0 or ratio_max <= ratio_min:
+    for name, value in (("ratio_min", ratio_min), ("ratio_max", ratio_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not 0 <= ratio_min < ratio_max:
         raise ValueError("need 0 <= ratio_min < ratio_max")
     if not tol > 0:
         raise ValueError("tol must be > 0")

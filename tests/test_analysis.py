@@ -100,6 +100,17 @@ def test_zeros_input_validation():
         quasienergy_zeros(make_params(), 0.0, 1.0, tol=0.0)
 
 
+@pytest.mark.parametrize("ratio_min, ratio_max, name", [
+    (math.nan, 1.0, "ratio_min"),
+    (0.5, math.nan, "ratio_max"),
+    (0.0, math.inf, "ratio_max"),
+    (-math.inf, 1.0, "ratio_min"),
+])
+def test_zeros_reject_non_finite_bounds(ratio_min, ratio_max, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        quasienergy_zeros(make_params(), ratio_min, ratio_max)
+
+
 # ---------------------------------------------------------------------------
 # periodicity condition
 # ---------------------------------------------------------------------------

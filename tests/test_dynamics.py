@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from floquet_qubit.dynamics import (
     AmplitudePair,
@@ -23,7 +24,8 @@ from floquet_qubit.dynamics import (
     xconfig_dynamics,
 )
 from floquet_qubit.floquet import build_phase_decomposition, phase_gamma
-from floquet_qubit.model import HADAMARD, SystemParams, hamiltonian
+from floquet_qubit.dynamics import _magnus_exponent, _magnus_step, _mul
+from floquet_qubit.model import HADAMARD, SIGMA_X, SIGMA_Y, SIGMA_Z, SystemParams, hamiltonian
 
 from oracles import central_difference
 
@@ -380,6 +382,65 @@ def test_propagator_samples_are_independent_of_a_leading_zero(run, t1, t2):
         assert np.max(np.abs(evolve(np.array([t1, t2]), tol=1e-9) - tail)) <= 1e-12, name
         start = evolve(np.array([0.0]), initial=AmplitudePair(c1=0.36 + 0.48j, c2=-0.8j))
         assert np.array_equal(start, [[0.36 + 0.48j], [-0.8j]]), name
+
+
+# ---------------------------------------------------------------------------
+# Cayley-Klein kernel
+# ---------------------------------------------------------------------------
+
+def _ck_matrix(pair):
+    """The SU(2) matrix [[alpha, -conj(beta)], [beta, conj(alpha)]] of a pair."""
+    alpha, beta = pair
+    return np.array([[alpha, -np.conj(beta)], [beta, np.conj(alpha)]])
+
+
+def _unit_pairs(rng, n):
+    q = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    return q / np.sqrt(np.sum(np.abs(q) ** 2, axis=0))
+
+
+def test_pair_product_is_the_matrix_product():
+    rng = np.random.default_rng(11)
+    a, b = _unit_pairs(rng, 64), _unit_pairs(rng, 64)
+    out = _mul(a, b, np.empty_like(a))
+    for k in range(a.shape[1]):
+        expected = _ck_matrix(a[:, k]) @ _ck_matrix(b[:, k])
+        assert np.max(np.abs(_ck_matrix(out[:, k]) - expected)) <= 1e-15
+
+
+def test_magnus_step_is_the_exponential():
+    rng = np.random.default_rng(12)
+    c = np.concatenate((np.zeros((3, 1)), rng.normal(size=(3, 40)),
+                        rng.normal(size=(3, 8)) * 5.0, [[4.0], [-2.0], [1.0]]), axis=1)
+    assert np.any(np.sqrt(np.sum(c * c, axis=0)) > math.pi)
+    q = _magnus_step(c[0] + 1j * c[1], c[2])
+    for k in range(c.shape[1]):
+        expected = expm(-1j * (c[0, k] * SIGMA_X + c[1, k] * SIGMA_Y + c[2, k] * SIGMA_Z))
+        assert np.max(np.abs(_ck_matrix(q[:, k]) - expected)) <= 1e-14
+    assert q[0, 0] == 1.0 and q[1, 0] == 0.0
+
+
+def test_magnus_exponent_matches_the_vector_form():
+    rng = np.random.default_rng(13)
+    h = rng.uniform(0.01, 2.0, size=50)
+    b1, b2 = rng.normal(size=(3, 50)), rng.normal(size=(3, 50))
+    w, z = _magnus_exponent(h, b1[0] + 1j * b1[1], b1[2], b2[0] + 1j * b2[1], b2[2])
+    c = 0.5 * h * (b1 + b2) - math.sqrt(3.0) / 6.0 * h * h * np.cross(b1, b2, axis=0)
+    assert np.max(np.abs(w - (c[0] + 1j * c[1]))) <= 1e-14
+    assert np.max(np.abs(z - c[2])) <= 1e-14
+
+
+def test_zero_field_keeps_the_initial_amplitudes():
+    initial = AmplitudePair(c1=0.36 + 0.48j, c2=-0.8j)
+    times = np.linspace(0.0, 3000.0, 101)
+    quiet = make_params(gap_over_mod=0.0)
+    undriven = make_params(ratio=0.0, gap_over_mod=0.0, epsilon0=0.0)
+    for amps in (evolve_reduced(quiet, times, initial=initial),
+                 evolve_corrected(quiet, times, initial=initial),
+                 evolve_full(undriven, "z", times, initial=initial),
+                 evolve_full(undriven, "x", times, initial=initial)):
+        assert np.max(np.abs(amps[0] - initial.c1)) <= 1e-15
+        assert np.max(np.abs(amps[1] - initial.c2)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
