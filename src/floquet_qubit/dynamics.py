@@ -20,9 +20,9 @@ The window is cut into segments at every sample time, every node of
 cos(delta t) (the kink of the paper's |cos| envelope) and, for the full
 Hamiltonian, every carrier period.  Each segment takes the same number of
 equal steps, multiplied pairwise; the segments are then chained in time
-order.  The steps per segment double from 2 until two
-successive runs differ by at most 15 tol at every sample: halving the step
-of a fourth-order method cuts its error 16-fold, so ``tol`` bounds the
+order.  The steps per segment double from 2 until two successive runs
+differ by at most 15 tol at every sample: halving the step of a
+fourth-order method cuts its error 16-fold, so ``tol`` bounds the
 Richardson estimate of the global error of the returned amplitudes.  The
 steps are built in blocks, so memory does not grow with the window.
 
