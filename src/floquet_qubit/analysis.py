@@ -71,13 +71,18 @@ def quasienergy_zeros(params_base: SystemParams, ratio_min: float, ratio_max: fl
     reports a zero found there on the edge, so a zero on an edge is found
     whichever side its rounded value falls.  The undriven point A = 0 is
     never reported, and a zero tunneling gap (E_N identically zero) gives no
-    zeros.
+    zeros.  The window must lie in the Bessel domain of ``fourier_phase``,
+    2 ratio_max <= ``specfun.MAX_ARGUMENT``, which caps the scan at about
+    25 000 points.
     """
     for name, value in (("ratio_min", ratio_min), ("ratio_max", ratio_max)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     if not 0 <= ratio_min < ratio_max:
         raise ValueError("need 0 <= ratio_min < ratio_max")
+    if 2.0 * ratio_max > MAX_ARGUMENT:
+        raise ValueError(f"ratio_max must satisfy 2 ratio_max <= {MAX_ARGUMENT:g}, "
+                         f"got {ratio_max!r}")
     if not tol > 0:
         raise ValueError("tol must be > 0")
     if params_base.delta_gap == 0.0:

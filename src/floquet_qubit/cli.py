@@ -10,7 +10,6 @@ or JSON with every real printed to 12 significant digits.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -19,12 +18,15 @@ import numpy as np
 
 from .analysis import (DEFAULT_WEIGHT_THRESHOLD, periodicity_residual, quasienergy_zeros,
                        spectral_lines)
-from .dynamics import (DEFAULT_SAMPLES, DEFAULT_TOL, analytic_populations,
-                       integrate_corrected, integrate_full, integrate_reduced)
+from .dynamics import (DEFAULT_TOL, analytic_populations, integrate_corrected, integrate_full,
+                       integrate_reduced)
 from .floquet import quasienergy
 from .model import SystemParams
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
+
+DEFAULT_SAMPLES = 2001
+MAX_SWEEP_POINTS = 10 ** 6  # a sweep this long already takes seconds and writes tens of MB
 
 
 class ConfigError(ValueError):
@@ -191,8 +193,6 @@ def _json_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, str):
-        return json.dumps(value)
     return format_real(value)
 
 
@@ -226,7 +226,11 @@ def _write_values(config: RunConfig, values: list[float]) -> None:
 # ---------------------------------------------------------------------------
 
 def _run_sweep(config: RunConfig) -> None:
-    count = int(math.floor((config.ratio_max - config.ratio_min) / config.ratio_step + 1e-9)) + 1
+    span = (config.ratio_max - config.ratio_min) / config.ratio_step + 1e-9
+    if span >= MAX_SWEEP_POINTS:
+        raise ConfigError(f"invalid value for 'ratio_step': {config.ratio_step} gives more than "
+                          f"{MAX_SWEEP_POINTS} points on [ratio_min, ratio_max]")
+    count = int(math.floor(span)) + 1
     ratios = [config.ratio_min + i * config.ratio_step for i in range(count)]
     params = config.params
     energies = [quasienergy(replace(params, amplitude=r * params.carrier)) for r in ratios]
@@ -240,8 +244,7 @@ def _run_dynamics(config: RunConfig) -> None:
     if config.method == "analytic":
         trace = analytic_populations(config.params, times)
     else:
-        trace = integrate_reduced(config.params, config.t_end, tol=config.tol,
-                                  times=times)
+        trace = integrate_reduced(config.params, times, tol=config.tol)
     rows = list(zip(trace.times, trace.p1, trace.p2))
     _write_rows(config, ["t", "p1", "p2"], rows)
     print(f"dynamics: wrote {len(rows)} samples to {config.out}")
@@ -276,13 +279,12 @@ def _run_spectrum(config: RunConfig) -> None:
 def _run_oracle(config: RunConfig) -> None:
     times = np.linspace(0.0, config.t_end, config.samples)
     analytic = analytic_populations(config.params, times)
-    full = integrate_full(config.params, config.axis, config.t_end,
-                          tol=config.tol, times=times)
+    full = integrate_full(config.params, config.axis, times, tol=config.tol)
     err = np.abs(analytic.p1 - full.p1)
     rows = list(zip(times, analytic.p1, full.p1, err))
     _write_rows(config, ["t", "p1_analytic", "p1_full", "abs_err"], rows)
     print(f"max_abs_err = {format_real(float(np.max(err)))}")
-    corrected = integrate_corrected(config.params, config.t_end, tol=config.tol, times=times)
+    corrected = integrate_corrected(config.params, times, tol=config.tol)
     print(f"max_abs_err_corrected = {format_real(float(np.max(np.abs(corrected.p1 - full.p1))))}")
 
 

@@ -66,7 +66,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1.0e-9
-DEFAULT_SAMPLES = 2001
 _STEP_BUDGET = 2 ** 14  # steps per segment past which tol counts as unreachable
 _BLOCK_STEPS = 2 ** 16  # steps held in memory at once
 _GAUSS = math.sqrt(3.0) / 6.0  # Gauss-Legendre node offset, in steps
@@ -132,6 +131,12 @@ def _validate_times(times) -> np.ndarray:
     return arr
 
 
+def _trace(times, amplitudes: np.ndarray) -> PopulationTrace:
+    """Populations |c1|^2, |c2|^2 of the amplitude rows (c1, c2) at ``times``."""
+    c1, c2 = amplitudes
+    return PopulationTrace(times=times, p1=np.abs(c1) ** 2, p2=np.abs(c2) ** 2)
+
+
 def analytic_populations(params: SystemParams, times) -> PopulationTrace:
     """Closed-form resonant populations P1 = cos^2(gamma_N), P2 = sin^2(gamma_N).
 
@@ -172,10 +177,11 @@ def evolve_reduced(params: SystemParams, times, tol: float = DEFAULT_TOL,
                                  signed=False, detuning=params.detuning)
 
 
-def integrate_reduced(params: SystemParams, t_end: float, tol: float = DEFAULT_TOL,
-                      times=None, initial: AmplitudePair | None = None) -> PopulationTrace:
-    """Reduced-system population trace from |down> (or ``initial``) to t_end."""
-    return _trace(lambda ts: evolve_reduced(params, ts, tol=tol, initial=initial), t_end, times)
+def integrate_reduced(params: SystemParams, times, tol: float = DEFAULT_TOL,
+                      initial: AmplitudePair | None = None) -> PopulationTrace:
+    """Populations |c1|^2, |c2|^2 of ``evolve_reduced`` at ``times``, from
+    |down> (or ``initial``)."""
+    return _trace(times, evolve_reduced(params, times, tol, initial))
 
 
 def evolve_corrected(params: SystemParams, times, tol: float = DEFAULT_TOL,
@@ -219,10 +225,11 @@ def evolve_corrected(params: SystemParams, times, tol: float = DEFAULT_TOL,
                                  signed=True, detuning=params.detuning + shift)
 
 
-def integrate_corrected(params: SystemParams, t_end: float, tol: float = DEFAULT_TOL,
-                        times=None, initial: AmplitudePair | None = None) -> PopulationTrace:
-    """Corrected reduced-system population trace (see ``evolve_corrected``)."""
-    return _trace(lambda ts: evolve_corrected(params, ts, tol=tol, initial=initial), t_end, times)
+def integrate_corrected(params: SystemParams, times, tol: float = DEFAULT_TOL,
+                        initial: AmplitudePair | None = None) -> PopulationTrace:
+    """Populations |c1|^2, |c2|^2 of ``evolve_corrected`` at ``times``, from
+    |down> (or ``initial``)."""
+    return _trace(times, evolve_corrected(params, times, tol, initial))
 
 
 def _evolve_two_amplitude(params: SystemParams, times, tol: float,
@@ -273,11 +280,11 @@ def evolve_full(params: SystemParams, axis: str, times, tol: float = DEFAULT_TOL
     return _propagate(field, params, times, tol, initial, carrier_edges=True)
 
 
-def integrate_full(params: SystemParams, axis: str, t_end: float,
-                   tol: float = DEFAULT_TOL, times=None,
+def integrate_full(params: SystemParams, axis: str, times, tol: float = DEFAULT_TOL,
                    initial: AmplitudePair | None = None) -> PopulationTrace:
-    """Full-oracle population trace in the diabatic basis."""
-    return _trace(lambda ts: evolve_full(params, axis, ts, tol=tol, initial=initial), t_end, times)
+    """Populations |c1|^2, |c2|^2 of ``evolve_full`` at ``times`` in the
+    diabatic basis, from |down> (or ``initial``)."""
+    return _trace(times, evolve_full(params, axis, times, tol, initial))
 
 
 # ---------------------------------------------------------------------------
@@ -389,18 +396,6 @@ def _mul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.multiply(a[1], b[0], out=out[1])
     out[1] += np.conj(a[0]) * b[1]
     return out
-
-
-def _trace(evolve, t_end: float, times) -> PopulationTrace:
-    """Populations |c1|^2, |c2|^2 of ``evolve(times)`` at the given sample
-    times, or at DEFAULT_SAMPLES even samples on [0, t_end]."""
-    if times is None:
-        if t_end <= 0:
-            raise ValueError("t_end must be > 0")
-        times = np.linspace(0.0, float(t_end), DEFAULT_SAMPLES)
-    times = np.asarray(times, dtype=float)
-    c1, c2 = evolve(times)
-    return PopulationTrace(times=times, p1=np.abs(c1) ** 2, p2=np.abs(c2) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import special
 
 from .model import SystemParams
-from .specfun import MAX_ORDER, bessel_j, bessel_products
+from .specfun import bessel_j, bessel_products
 
 __all__ = [
     "PhaseDecomposition",
@@ -114,16 +114,15 @@ class PhaseDecomposition:
     """Split of the accumulated phase into slope * t plus a periodic remainder.
 
     ``slope`` is (delta_gap/2) J_{N/2}(r)^2 (the period average, as in
-    ``mean_bessel``), ``quasienergy`` is (-1)^N * slope, ``period`` is
-    pi/delta and ``periodic_part`` evaluates the periodic remainder in closed
-    form (see ``build_phase_decomposition``): zero at t = 0, at every half
-    period and at every full period, and odd about each of them.  A scalar
+    ``mean_bessel``), ``quasienergy`` is (-1)^N * slope and ``periodic_part``
+    evaluates the periodic remainder in closed form (see
+    ``build_phase_decomposition``): zero at t = 0, at every half period and
+    at every full period pi/delta, and odd about each of them.  A scalar
     time gives a NumPy float, an array an array.
     """
 
     slope: float
     quasienergy: float
-    period: float
     periodic_part: Callable[[np.ndarray], np.ndarray]
 
     def gamma_at(self, t):
@@ -162,8 +161,6 @@ def build_phase_decomposition(params: SystemParams) -> PhaseDecomposition:
     2 A/omega_0 > ``specfun.MAX_ARGUMENT``), as the envelope functions do.
     """
     order = params.order
-    if order > MAX_ORDER:
-        raise ValueError(f"order {order} outside <= {MAX_ORDER}")
     j, products = bessel_products(order, params.drive_ratio)
     keep = (j > 0) & (np.abs(products) > np.finfo(float).eps * np.max(np.abs(products)))
     freq = j[keep].astype(float)
@@ -179,8 +176,7 @@ def build_phase_decomposition(params: SystemParams) -> PhaseDecomposition:
 
     slope = 0.5 * params.delta_gap * mean
     sign = 1.0 if order % 2 == 0 else -1.0
-    return PhaseDecomposition(slope=slope, quasienergy=sign * slope,
-                              period=params.period, periodic_part=periodic_part)
+    return PhaseDecomposition(slope=slope, quasienergy=sign * slope, periodic_part=periodic_part)
 
 
 def phase_gamma(params: SystemParams, t: float) -> tuple[float, PhaseDecomposition]:
@@ -239,7 +235,8 @@ def fourier_phase(params: SystemParams, n_max: int) -> FourierPhase:
     integral (DLMF 10.22) at integer orders.  Every factor is an
     integer-order Bessel value of magnitude <= 1, so no coefficient
     overflows, at any r >= 0 or harmonic.  Like the envelope functions it
-    raises ``ValueError`` past the Bessel domain, 2 r > ``specfun.MAX_ARGUMENT``.
+    raises ``ValueError`` past the Bessel domain (order > ``specfun.MAX_ORDER``
+    or 2 r > ``specfun.MAX_ARGUMENT``).
     """
     if n_max != int(n_max) or int(n_max) < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max!r}")

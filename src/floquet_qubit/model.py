@@ -27,9 +27,6 @@ __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
-    "IDENTITY2",
-    "KET_UP",
-    "KET_DOWN",
     "HADAMARD",
     "drive_field",
     "phase_phi",
@@ -41,9 +38,6 @@ __all__ = [
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY2 = np.eye(2, dtype=complex)
-KET_UP = np.array([1.0, 0.0], dtype=complex)
-KET_DOWN = np.array([0.0, 1.0], dtype=complex)
 # Hadamard swaps sigma_z <-> sigma_x; it is the pi/2 rotation about y up to a
 # sigma_z gauge and is what relates the two coupling configurations exactly.
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)

@@ -34,8 +34,10 @@ def bessel_products(order: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     ``order`` is N >= 0.  |J_k(r)| < 1e-18 past |k| = span for every
     r <= MAX_ARGUMENT / 2, so the sum stops there; every factor has
     magnitude <= 1 and no term can overflow.  Raises ``ValueError`` for
-    2 r > ``MAX_ARGUMENT``.
+    N > ``MAX_ORDER`` or 2 r > ``MAX_ARGUMENT``.
     """
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} outside <= {MAX_ORDER}")
     if 2.0 * ratio > MAX_ARGUMENT:
         raise ValueError(f"Bessel argument 2 r = {2.0 * ratio!r} outside <= {MAX_ARGUMENT}")
     span = int(ratio + 15.0 * np.cbrt(ratio) + 20.0)

@@ -92,10 +92,10 @@ def _oracle_criterion(order):
     times = np.linspace(0.0, t_end, 2001)
     start = time.perf_counter()
     analytic = analytic_populations(params, times)
-    reduced = integrate_reduced(params, t_end, tol=1e-10, times=times)
+    reduced = integrate_reduced(params, times, tol=1e-10)
     reduced_err = float(np.max(np.abs(reduced.p1 - analytic.p1)))
-    corrected = integrate_corrected(params, t_end, tol=1e-10, times=times)
-    full = integrate_full(params, "z", t_end, tol=1e-8, times=times)
+    corrected = integrate_corrected(params, times, tol=1e-10)
+    full = integrate_full(params, "z", times, tol=1e-8)
     full_err = float(np.max(np.abs(full.p1 - corrected.p1)))
     elapsed = time.perf_counter() - start
 
@@ -320,7 +320,7 @@ def test_criterion_9_xconfig():
         coupling = v_lab / 2
         t_end = 2 * math.pi / delta
         times = np.linspace(0.0, t_end, 1001)
-        trace = integrate_full(params, "x", t_end, tol=1e-8, times=times)
+        trace = integrate_full(params, "x", times, tol=1e-8)
         expected = np.sin((coupling / delta) * np.sin(delta * times)) ** 2
         dev = float(np.max(np.abs(trace.p2 - expected)))
         ok &= check(dev <= 0.05, f"criterion 9: rotating-frame law at V={v_lab}",

@@ -111,6 +111,15 @@ def test_zeros_reject_non_finite_bounds(ratio_min, ratio_max, name):
         quasienergy_zeros(make_params(), ratio_min, ratio_max)
 
 
+def test_zeros_window_stays_in_the_bessel_domain():
+    # 2 ratio_max <= MAX_ARGUMENT, the rule of fourier_phase; a window of
+    # 1e12 once asked for a scan grid of 5e13 points
+    for ratio_max in (500.5, 1e12):
+        with pytest.raises(ValueError, match="ratio_max"):
+            quasienergy_zeros(make_params(), 0.0, ratio_max)
+    assert len(quasienergy_zeros(make_params(), 499.0, 500.0)) == 1
+
+
 # ---------------------------------------------------------------------------
 # periodicity condition
 # ---------------------------------------------------------------------------

@@ -283,6 +283,19 @@ def test_oracle_command_reports_the_corrected_reduction(tmp_path, capsys):
     assert float(values["max_abs_err_corrected"]) <= 0.05
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["zeros", "--ratio-max", "1e12"], "ratio_max"),
+    (["sweep", "--ratio-max", "1e300", "--ratio-step", "1e-300"], "ratio_step"),
+    (["sweep", "--ratio-max", "3", "--ratio-step", "1e-6"], "ratio_step"),
+])
+def test_cli_rejects_unbounded_windows(tmp_path, capsys, argv, key):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out), "--format", "csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_error_goes_to_stderr(tmp_path, capsys):
     code = main(["dynamics", "--carrier", "-1", "--out", str(tmp_path / "x.csv"),
                  "--format", "csv"])

@@ -352,6 +352,13 @@ def test_fourier_strong_drive_up_to_the_bessel_domain():
         fourier_phase(make_params(ratio=500.5), 8)
 
 
+def test_fourier_rejects_order_past_the_bessel_domain():
+    # the same order limit as build_phase_decomposition and bessel_j
+    with pytest.raises(ValueError, match="order 201"):
+        fourier_phase(make_params(order=201), 8)
+    assert fourier_phase(make_params(order=200), 8).n_max == 8
+
+
 def test_fourier_rejects_bad_harmonic_count():
     with pytest.raises(ValueError):
         fourier_phase(make_params(), 0)
