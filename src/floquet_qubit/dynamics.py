@@ -20,11 +20,20 @@ The window is cut into segments at every sample time, every node of
 cos(delta t) (the kink of the paper's |cos| envelope) and, for the full
 Hamiltonian, every carrier period.  Each segment takes the same number of
 equal steps, multiplied pairwise; the segments are then chained in time
-order.  The steps per segment double from 2 until two successive runs
-differ by at most 15 tol at every sample: halving the step of a
-fourth-order method cuts its error 16-fold, so ``tol`` bounds the
-Richardson estimate of the global error of the returned amplitudes.  The
-steps are built in blocks, so memory does not grow with the window.
+order.  The steps per segment double until two successive runs differ by
+at most 15 tol at every sample, a sample's difference being the 2-norm of
+its amplitude change, which a change of basis keeps (the Hadamard between
+the z and x axes, so both runs stop at the same doubling).  Halving the
+step of a fourth-order method cuts its error 16-fold, so ``tol`` bounds the
+Richardson estimate of the global error of the returned amplitudes, as a
+2-norm per sample.  The doubling starts at 1 step for the reduced and
+corrected equations, whose field varies on the modulation scale: on a
+densely sampled window their change from 1 to 2 steps is usually far below
+15 tol already.  It starts at 2 for the full Hamiltonian: its segments span
+up to a carrier period, which one step does not resolve, and its change
+from 1 to 2 steps is far above 15 tol, so starting at 1 would only add a
+doubling.  The steps are built in blocks, so memory does not grow with the
+window.
 
 Rounding sets the smallest reachable ``tol``, and it grows with the window
 (about 1e-13 over 10^4 carrier periods).  ``IntegrationError`` is raised
@@ -266,9 +275,9 @@ def evolve_full(params: SystemParams, axis: str, times, tol: float = DEFAULT_TOL
     edges at every sample time, every node of cos(delta t) and every carrier
     period, so each segment spans at most one carrier period whatever the
     sampling.  ``tol`` bounds the estimated global error of the amplitudes
-    at every sample; ``IntegrationError`` is raised when rounding or the
-    budget of 2^14 steps per segment keeps it out of reach, which happens
-    at larger ``tol`` the longer the window.
+    at every sample, as a 2-norm; ``IntegrationError`` is raised when
+    rounding or the budget of 2^14 steps per segment keeps it out of reach,
+    which happens at larger ``tol`` the longer the window.
     """
     if axis not in ("z", "x"):
         raise ValueError(f"axis must be 'z' or 'x', got {axis!r}")
@@ -317,7 +326,9 @@ def _propagate(field, params: SystemParams, times, tol: float,
     q = np.empty((2, grid.size), dtype=complex)
     # the state rides at the head of the chain as the pair (c1, c2)
     q[:, 0] = (1.0, 0.0) if initial is None else (initial.c1, initial.c2)
-    previous, change, steps = None, math.inf, 2
+    # one step per segment resolves the slow reduced fields, not the full
+    # one over a carrier period (module docstring)
+    previous, change, steps = None, math.inf, 2 if carrier_edges else 1
     while steps <= _STEP_BUDGET:
         per_block = max(1, _BLOCK_STEPS // steps)
         for lo in range(0, grid.size - 1, per_block):
@@ -325,7 +336,9 @@ def _propagate(field, params: SystemParams, times, tol: float,
                 field, grid[lo:lo + per_block + 1], steps)
         states = _running_products(q)[:, np.searchsorted(grid, arr)]
         if previous is not None:
-            last, change = change, float(np.max(np.abs(states - previous)))
+            # the largest 2-norm of a sample's change, which a rotation of
+            # the basis (the Hadamard between the z and x runs) keeps
+            last, change = change, float(np.max(np.linalg.norm(states - previous, axis=0)))
             if change <= 15.0 * tol:
                 return states
             # a doubling cuts a fourth-order change 16-fold once the steps
@@ -371,11 +384,19 @@ def _magnus_exponent(h, w1, z1, w2, z2):
 
 def _magnus_step(w: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Pairs of exp(-i c.sigma) for c = (Re w, Im w, z):
-    (cos|c| - i sinc z, -i sinc w) with sinc = sin|c| / |c|, exactly (1, 0)
-    at c = 0."""
+    (cos|c| - i sinc z, -i sinc w) with sinc = sin|c| / |c|, exactly 1 at
+    |c| = 0, so exactly (1, 0) at c = 0.  The parts are written as reals
+    into one pair array: -i sinc w = sinc Im w - i sinc Re w."""
     angle = np.sqrt(w.real ** 2 + w.imag ** 2 + z * z)
-    sinc = -1j * np.sinc(angle / math.pi)
-    return np.array([np.cos(angle) + sinc * z, sinc * w])
+    sinc = np.ones_like(angle)
+    np.divide(np.sin(angle), angle, out=sinc, where=angle != 0.0)
+    q = np.empty((2,) + angle.shape, dtype=complex)
+    np.cos(angle, out=q[0].real)
+    np.multiply(sinc, w.imag, out=q[1].real)
+    np.negative(sinc, out=sinc)
+    np.multiply(sinc, z, out=q[0].imag)
+    np.multiply(sinc, w.real, out=q[1].imag)
+    return q
 
 
 def _running_products(q: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import special
 
 from .model import SystemParams
-from .specfun import bessel_j, bessel_products
+from .specfun import bessel_j, bessel_products, check_domain
 
 __all__ = [
     "PhaseDecomposition",
@@ -88,8 +88,11 @@ def mean_bessel(params: SystemParams) -> float:
     The average is (2/pi) int_0^{pi/2} J_N(2 r cos u) du, which Neumann's
     product integral J_mu(z) J_nu(z) = (2/pi) int_0^{pi/2} J_{mu+nu}(2 z cos u)
     cos((mu - nu) u) du (DLMF 10.22) evaluates at mu = nu = N/2.  The average
-    is therefore non-negative, and its zeros are those of J_{N/2}.
+    is therefore non-negative, and its zeros are those of J_{N/2}.  Raises
+    ``ValueError`` past the Bessel domain (order > ``specfun.MAX_ORDER`` or
+    2 A/omega_0 > ``specfun.MAX_ARGUMENT``), as ``fourier_phase`` does.
     """
+    check_domain(params.order, params.drive_ratio)
     return float(_half_order_bessel(params.order, params.drive_ratio) ** 2)
 
 
@@ -117,8 +120,9 @@ class PhaseDecomposition:
     ``mean_bessel``), ``quasienergy`` is (-1)^N * slope and ``periodic_part``
     evaluates the periodic remainder in closed form (see
     ``build_phase_decomposition``): zero at t = 0, at every half period and
-    at every full period pi/delta, and odd about each of them.  A scalar
-    time gives a NumPy float, an array an array.
+    at every full period pi/delta, and odd about each of them.  A float
+    time gives a float, summed term by term in plain Python; any other time
+    (an int, an array) goes through NumPy and gives a NumPy float or array.
     """
 
     slope: float
@@ -170,7 +174,17 @@ def build_phase_decomposition(params: SystemParams) -> PhaseDecomposition:
     delta = params.modulation
     scale = 0.5 * params.delta_gap / delta
 
+    terms = tuple(zip(freq.tolist(), weight.tolist()))
+
     def periodic_part(t):
+        if isinstance(t, float):
+            # one time (``qes_state``): a plain loop costs a fraction of
+            # NumPy's per-call overhead on a few dozen terms
+            u = (delta * t + 0.5 * math.pi) % math.pi - 0.5 * math.pi
+            total = 0.0
+            for f, w in terms:
+                total += w * math.sin(f * u)
+            return scale * (total - drift * u)
         u = np.mod(delta * np.asarray(t, dtype=float) + 0.5 * math.pi, math.pi) - 0.5 * math.pi
         return scale * (np.sin(np.multiply.outer(u, freq)) @ weight - drift * u)
 
@@ -288,7 +302,7 @@ def qes_state(params: SystemParams, branch: str, t: float) -> QesState:
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
     s = 1.0 if branch == "plus" else -1.0
     decomposition = build_phase_decomposition(params)
-    phi = float(decomposition.periodic_part(float(t)))
+    phi = decomposition.periodic_part(float(t))
     parity = 1.0 if params.order % 2 == 0 else -1.0
     phase = cmath.exp(1j * s * parity * phi)
     amplitude = phase / math.sqrt(2.0)

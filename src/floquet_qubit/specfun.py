@@ -21,10 +21,19 @@ import numpy as np
 from numpy.polynomial import chebyshev
 from scipy import special
 
-__all__ = ["bessel_j", "bessel_products"]
+__all__ = ["bessel_j", "bessel_products", "check_domain"]
 
 MAX_ORDER = 200
 MAX_ARGUMENT = 1.0e3
+
+
+def check_domain(order: int, ratio: float) -> None:
+    """Raise ``ValueError`` unless N = ``order`` <= ``MAX_ORDER`` and
+    2 r = 2 ``ratio`` <= ``MAX_ARGUMENT``, the domain of ``bessel_products``."""
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} outside <= {MAX_ORDER}")
+    if 2.0 * ratio > MAX_ARGUMENT:
+        raise ValueError(f"Bessel argument 2 r = {2.0 * ratio!r} outside <= {MAX_ARGUMENT}")
 
 
 def bessel_products(order: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
@@ -34,12 +43,9 @@ def bessel_products(order: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     ``order`` is N >= 0.  |J_k(r)| < 1e-18 past |k| = span for every
     r <= MAX_ARGUMENT / 2, so the sum stops there; every factor has
     magnitude <= 1 and no term can overflow.  Raises ``ValueError`` for
-    N > ``MAX_ORDER`` or 2 r > ``MAX_ARGUMENT``.
+    N > ``MAX_ORDER`` or 2 r > ``MAX_ARGUMENT`` (``check_domain``).
     """
-    if order > MAX_ORDER:
-        raise ValueError(f"order {order} outside <= {MAX_ORDER}")
-    if 2.0 * ratio > MAX_ARGUMENT:
-        raise ValueError(f"Bessel argument 2 r = {2.0 * ratio!r} outside <= {MAX_ARGUMENT}")
+    check_domain(order, ratio)
     span = int(ratio + 15.0 * np.cbrt(ratio) + 20.0)
     k = np.arange(-span, order + span + 1)
     bessel = special.jv(k, ratio)

@@ -159,6 +159,15 @@ def test_residual_validates_indices():
         periodicity_residual(make_params(), 1, -2)
 
 
+def test_residual_rejects_inputs_past_the_bessel_domain():
+    # E_N past the Bessel domain would read 0 (order 201) or rounding
+    # (A/omega_0 = 600), a false periodic verdict
+    with pytest.raises(ValueError, match="order 201"):
+        periodicity_residual(make_params(order=201), 1, 1)
+    with pytest.raises(ValueError, match="Bessel argument"):
+        periodicity_residual(make_params(ratio=600.0), 1, 1)
+
+
 # ---------------------------------------------------------------------------
 # solve_periodic_ratio
 # ---------------------------------------------------------------------------

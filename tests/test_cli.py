@@ -296,6 +296,15 @@ def test_cli_rejects_unbounded_windows(tmp_path, capsys, argv, key):
     assert not out.exists()
 
 
+def test_sweep_past_the_bessel_domain_fails_cleanly(tmp_path, capsys):
+    # zeros refuses the same window; sweep used to write E_N past it
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--ratio-max", "600", "--out", str(out), "--format", "csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Bessel argument" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_error_goes_to_stderr(tmp_path, capsys):
     code = main(["dynamics", "--carrier", "-1", "--out", str(tmp_path / "x.csv"),
                  "--format", "csv"])

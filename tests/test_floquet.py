@@ -128,6 +128,17 @@ def test_quasienergy_near_second_order_zero():
     assert abs(quasienergy(p)) < 2e-3 * 0.7
 
 
+def test_period_average_rejects_inputs_past_the_bessel_domain():
+    # the domain of fourier_phase and build_phase_decomposition: order <= 200,
+    # 2 A/omega_0 <= 1e3
+    for p, message in ((make_params(order=201), "order 201"),
+                       (make_params(ratio=600.0), "Bessel argument")):
+        for call in (mean_bessel, quasienergy, quasienergy_pair):
+            with pytest.raises(ValueError, match=message):
+                call(p)
+    assert mean_bessel(make_params(order=200, ratio=500.0)) >= 0.0
+
+
 def test_quasienergy_pair_sums_to_zero():
     p = make_params(order=2, ratio=0.8)
     plus, minus = quasienergy_pair(p)
@@ -272,6 +283,30 @@ def test_phase_rejects_inputs_past_the_bessel_domain():
 
 def test_periodic_part_vanishes_at_reference_point():
     dec = build_phase_decomposition(make_params(order=2, ratio=0.7))
+    assert dec.periodic_part(0.0) == 0.0
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+@pytest.mark.parametrize("ratio", [0.0, 0.3, 3.8317, 11.0])
+def test_scalar_periodic_part_matches_the_array_path(order, ratio):
+    # a float time is summed in plain Python, an array through NumPy
+    p = make_params(order=order, ratio=ratio, gap_over_mod=12.0)
+    dec = build_phase_decomposition(p)
+    rng = np.random.default_rng(order)
+    times = np.concatenate((0.5 * p.period * np.arange(5), rng.uniform(0.0, 20.0 * p.period, 40),
+                            [1e6 / p.modulation]))
+    array = dec.periodic_part(times)
+    peak = float(np.max(np.abs(array)))
+    parity = 1.0 if order % 2 == 0 else -1.0
+    for t, expected in zip(times.tolist(), array.tolist()):
+        value = dec.periodic_part(t)
+        assert type(value) is float
+        assert abs(value - expected) <= 1e-13 * peak
+        for branch, s in (("plus", 1.0), ("minus", -1.0)):
+            state = qes_state(p, branch, t)
+            amplitude = complex(np.exp(1j * s * parity * expected)) / math.sqrt(2.0)
+            assert abs(state.c_down - amplitude) <= 1e-13 * max(peak, 1.0)
+            assert state.c_up == s * state.c_down
     assert dec.periodic_part(0.0) == 0.0
 
 
