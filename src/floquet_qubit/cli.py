@@ -18,10 +18,11 @@ import numpy as np
 
 from .analysis import (DEFAULT_WEIGHT_THRESHOLD, periodicity_residual, quasienergy_zeros,
                        spectral_lines)
-from .dynamics import (DEFAULT_TOL, analytic_populations, integrate_corrected, integrate_full,
-                       integrate_reduced)
+from .dynamics import (DEFAULT_TOL, AmplitudePair, analytic_populations, evolve_full,
+                       integrate_corrected, integrate_reduced)
 from .floquet import quasienergy
 from .model import SystemParams
+from .specfun import check_domain
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -180,16 +181,10 @@ def format_real(x: float) -> str:
     return f"{float(x):.11e}"
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format_real(value)
-
-
-def _json_cell(value) -> str:
-    if isinstance(value, bool):
+def _cell(value, fmt: str) -> str:
+    """A bool as 1/0 in CSV and true/false in JSON, an integer as is, a real
+    by ``format_real``."""
+    if isinstance(value, bool) and fmt == "json":
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -204,11 +199,11 @@ def _write_text(path: str, text: str) -> None:
 def _write_rows(config: RunConfig, header: list[str], rows: list[tuple]) -> None:
     if config.fmt == "csv":
         lines = [",".join(header)]
-        lines.extend(",".join(_cell(v) for v in row) for row in rows)
+        lines.extend(",".join(_cell(v, "csv") for v in row) for row in rows)
         _write_text(config.out, "\n".join(lines) + "\n")
     else:
         body = ",\n".join(
-            "  {" + ", ".join(f'"{k}": {_json_cell(v)}' for k, v in zip(header, row)) + "}"
+            "  {" + ", ".join(f'"{k}": {_cell(v, "json")}' for k, v in zip(header, row)) + "}"
             for row in rows)
         _write_text(config.out, "[\n" + body + "\n]\n" if rows else "[]\n")
 
@@ -230,9 +225,10 @@ def _run_sweep(config: RunConfig) -> None:
     if span >= MAX_SWEEP_POINTS:
         raise ConfigError(f"invalid value for 'ratio_step': {config.ratio_step} gives more than "
                           f"{MAX_SWEEP_POINTS} points on [ratio_min, ratio_max]")
+    params = config.params
+    check_domain(params.order, config.ratio_max)
     count = int(math.floor(span)) + 1
     ratios = [config.ratio_min + i * config.ratio_step for i in range(count)]
-    params = config.params
     energies = [quasienergy(replace(params, amplitude=r * params.carrier)) for r in ratios]
     header = ["ratio", f"quasienergy_{params.order}"]
     _write_rows(config, header, list(zip(ratios, energies)))
@@ -279,13 +275,18 @@ def _run_spectrum(config: RunConfig) -> None:
 def _run_oracle(config: RunConfig) -> None:
     times = np.linspace(0.0, config.t_end, config.samples)
     analytic = analytic_populations(config.params, times)
-    full = integrate_full(config.params, config.axis, times, tol=config.tol)
-    err = np.abs(analytic.p1 - full.p1)
-    rows = list(zip(times, analytic.p1, full.p1, err))
+    # the Hadamard maps the z configuration onto the x one: the x run starts
+    # from the image of |down> and its |down> population is read back through it
+    x = config.axis == "x"
+    c1, c2 = evolve_full(config.params, config.axis, times, tol=config.tol,
+                         initial=AmplitudePair(-math.sqrt(0.5), math.sqrt(0.5)) if x else None)
+    p1_full = np.abs(c2 - c1) ** 2 / 2 if x else np.abs(c1) ** 2
+    err = np.abs(analytic.p1 - p1_full)
+    rows = list(zip(times, analytic.p1, p1_full, err))
     _write_rows(config, ["t", "p1_analytic", "p1_full", "abs_err"], rows)
     print(f"max_abs_err = {format_real(float(np.max(err)))}")
     corrected = integrate_corrected(config.params, times, tol=config.tol)
-    print(f"max_abs_err_corrected = {format_real(float(np.max(np.abs(corrected.p1 - full.p1))))}")
+    print(f"max_abs_err_corrected = {format_real(float(np.max(np.abs(corrected.p1 - p1_full))))}")
 
 
 # command: (runner, help)

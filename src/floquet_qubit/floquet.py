@@ -60,11 +60,6 @@ def tunneling_amplitude(params: SystemParams, t):
     return sign * 0.5 * params.delta_gap * bessel_j(n, w)
 
 
-def _half_order_bessel(order: int, ratio):
-    """J_{N/2}(r): its square is the period-averaged coupling (``mean_bessel``)."""
-    return special.jv(0.5 * order, ratio)
-
-
 def _half_period_mean(order: int, j: np.ndarray) -> np.ndarray:
     """s(j) = (2/pi) int_0^{pi/2} cos(j u) du for integers j of the parity of N:
     1 at j = 0, 0 at every other even j and 2 (-1)^{(j-1)/2} / (pi j) at odd j."""
@@ -89,11 +84,10 @@ def mean_bessel(params: SystemParams) -> float:
     product integral J_mu(z) J_nu(z) = (2/pi) int_0^{pi/2} J_{mu+nu}(2 z cos u)
     cos((mu - nu) u) du (DLMF 10.22) evaluates at mu = nu = N/2.  The average
     is therefore non-negative, and its zeros are those of J_{N/2}.  Raises
-    ``ValueError`` past the Bessel domain (order > ``specfun.MAX_ORDER`` or
-    2 A/omega_0 > ``specfun.MAX_ARGUMENT``), as ``fourier_phase`` does.
+    ``ValueError`` outside ``specfun.check_domain``, as ``fourier_phase`` does.
     """
     check_domain(params.order, params.drive_ratio)
-    return float(_half_order_bessel(params.order, params.drive_ratio) ** 2)
+    return float(special.jv(0.5 * params.order, params.drive_ratio) ** 2)
 
 
 def quasienergy(params: SystemParams) -> float:
@@ -160,9 +154,8 @@ def build_phase_decomposition(params: SystemParams) -> PhaseDecomposition:
     Terms with |J_k J_{N-k}| below rounding of the largest product are
     dropped.  The result is cached per parameter set, so a scalar
     ``periodic_part`` call (``qes_state``) costs one short sine series
-    rather than a ``jv`` call over every order.  Raises ``ValueError`` past
-    the Bessel domain (order > ``specfun.MAX_ORDER`` or
-    2 A/omega_0 > ``specfun.MAX_ARGUMENT``), as the envelope functions do.
+    rather than a ``jv`` call over every order.  Raises ``ValueError``
+    outside ``specfun.check_domain``, as the envelope functions do.
     """
     order = params.order
     j, products = bessel_products(order, params.drive_ratio)
@@ -249,8 +242,7 @@ def fourier_phase(params: SystemParams, n_max: int) -> FourierPhase:
     integral (DLMF 10.22) at integer orders.  Every factor is an
     integer-order Bessel value of magnitude <= 1, so no coefficient
     overflows, at any r >= 0 or harmonic.  Like the envelope functions it
-    raises ``ValueError`` past the Bessel domain (order > ``specfun.MAX_ORDER``
-    or 2 r > ``specfun.MAX_ARGUMENT``).
+    raises ``ValueError`` outside ``specfun.check_domain``.
     """
     if n_max != int(n_max) or int(n_max) < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max!r}")

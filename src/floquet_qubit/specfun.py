@@ -15,8 +15,6 @@ dependency on the rest of the package.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.polynomial import chebyshev
 from scipy import special
@@ -29,10 +27,11 @@ MAX_ARGUMENT = 1.0e3
 
 def check_domain(order: int, ratio: float) -> None:
     """Raise ``ValueError`` unless N = ``order`` <= ``MAX_ORDER`` and
-    2 r = 2 ``ratio`` <= ``MAX_ARGUMENT``, the domain of ``bessel_products``."""
+    2 r = 2 ``ratio`` <= ``MAX_ARGUMENT`` (so r is not NaN), the domain of
+    ``bessel_products``; the one place the package compares against both."""
     if order > MAX_ORDER:
         raise ValueError(f"order {order} outside <= {MAX_ORDER}")
-    if 2.0 * ratio > MAX_ARGUMENT:
+    if not 2.0 * ratio <= MAX_ARGUMENT:
         raise ValueError(f"Bessel argument 2 r = {2.0 * ratio!r} outside <= {MAX_ARGUMENT}")
 
 
@@ -42,8 +41,8 @@ def bessel_products(order: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
 
     ``order`` is N >= 0.  |J_k(r)| < 1e-18 past |k| = span for every
     r <= MAX_ARGUMENT / 2, so the sum stops there; every factor has
-    magnitude <= 1 and no term can overflow.  Raises ``ValueError`` for
-    N > ``MAX_ORDER`` or 2 r > ``MAX_ARGUMENT`` (``check_domain``).
+    magnitude <= 1 and no term can overflow.  Raises ``ValueError`` outside
+    ``check_domain``.
     """
     check_domain(order, ratio)
     span = int(ratio + 15.0 * np.cbrt(ratio) + 20.0)
@@ -83,22 +82,16 @@ def bessel_j(order: int, x):
     if order != int(order):
         raise ValueError(f"bessel_j order must be an integer, got {order!r}")
     n = int(order)
-    if abs(n) > MAX_ORDER:
-        raise ValueError(f"bessel_j order {n} outside |order| <= {MAX_ORDER}")
-
     parity = -1.0 if n < 0 and n % 2 else 1.0
     n = abs(n)
 
     if np.isscalar(x) and not isinstance(x, np.ndarray):
         xf = float(x)
-        if not math.isfinite(xf) or abs(xf) > MAX_ARGUMENT:
-            raise ValueError(f"bessel_j argument {x!r} outside |x| <= {MAX_ARGUMENT}")
+        check_domain(n, 0.5 * abs(xf))
         return parity * float(special.jv(n, xf))
 
     xa = np.asarray(x, dtype=float)
     top = float(np.max(np.abs(xa), initial=0.0))  # NaN if any x is NaN
-    if not top <= MAX_ARGUMENT:
-        raise ValueError(f"bessel_j argument outside |x| <= {MAX_ARGUMENT}")
     j, products = bessel_products(n, 0.5 * top)
     # chebtrim leaves one zero coefficient when every product underflows
     # (high order, small |x|)

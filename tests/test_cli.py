@@ -283,6 +283,19 @@ def test_oracle_command_reports_the_corrected_reduction(tmp_path, capsys):
     assert float(values["max_abs_err_corrected"]) <= 0.05
 
 
+def test_oracle_x_axis_reports_the_z_errors(tmp_path, capsys):
+    # the Hadamard maps the z configuration onto the x one exactly, so the x
+    # run, started from the image of |down> and read back through it, has
+    # the z run's errors
+    values = {}
+    for axis in ("z", "x"):
+        assert main(["oracle", "--axis", axis, "--t-end", "100", "--samples", "11",
+                     "--out", str(tmp_path / f"{axis}.csv"), "--format", "csv"]) == 0
+        values[axis] = _printed_values(capsys.readouterr().out)
+    for key in ("max_abs_err", "max_abs_err_corrected"):
+        assert float(values["x"][key]) == pytest.approx(float(values["z"][key]), abs=1e-10)
+
+
 @pytest.mark.parametrize("argv, key", [
     (["zeros", "--ratio-max", "1e12"], "ratio_max"),
     (["sweep", "--ratio-max", "1e300", "--ratio-step", "1e-300"], "ratio_step"),
@@ -303,6 +316,20 @@ def test_sweep_past_the_bessel_domain_fails_cleanly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Bessel argument" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_sweep_refuses_the_domain_before_computing(tmp_path, monkeypatch, capsys):
+    quasienergy, calls = cli.quasienergy, []
+
+    def counted(params):
+        calls.append(params.drive_ratio)
+        return quasienergy(params)
+
+    monkeypatch.setattr(cli, "quasienergy", counted)
+    assert main(["sweep", "--ratio-max", "600", "--out", str(tmp_path / "s.csv"),
+                 "--format", "csv"]) == 1
+    assert "Bessel argument" in capsys.readouterr().err
+    assert len(calls) == 0
 
 
 def test_cli_error_goes_to_stderr(tmp_path, capsys):

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import special
 
-from floquet_qubit.specfun import bessel_j
+from floquet_qubit.specfun import bessel_j, bessel_products, check_domain
 
 from oracles import bessel_series, mp_besselj
 
@@ -126,3 +128,8 @@ def test_bessel_domain_errors():
     with pytest.raises(ValueError):
         bessel_j(1.5, 1.0)
 
+
+@pytest.mark.parametrize("call", [check_domain, bessel_products])
+def test_domain_refuses_a_nan_ratio(call):
+    with pytest.raises(ValueError, match="Bessel argument"):
+        call(1, math.nan)
