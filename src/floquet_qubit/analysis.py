@@ -13,7 +13,7 @@ from scipy import optimize, special
 
 from .dynamics import PopulationTrace
 from .floquet import mean_bessel, quasienergy
-from .model import SystemParams
+from .model import SystemParams, check_count, check_real
 from .specfun import MAX_ARGUMENT, MAX_ORDER
 
 __all__ = [
@@ -75,16 +75,12 @@ def quasienergy_zeros(params_base: SystemParams, ratio_min: float, ratio_max: fl
     2 ratio_max <= ``specfun.MAX_ARGUMENT``, which caps the scan at about
     25 000 points.
     """
-    for name, value in (("ratio_min", ratio_min), ("ratio_max", ratio_max)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if not 0 <= ratio_min < ratio_max:
-        raise ValueError("need 0 <= ratio_min < ratio_max")
+    check_real("ratio_min", ratio_min, ">=", 0.0)
+    check_real("ratio_max", ratio_max, ">", ratio_min)
     if 2.0 * ratio_max > MAX_ARGUMENT:
         raise ValueError(f"ratio_max must satisfy 2 ratio_max <= {MAX_ARGUMENT:g}, "
                          f"got {ratio_max!r}")
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
+    check_real("tol", tol, ">", 0.0)
     if params_base.delta_gap == 0.0:
         return []
 
@@ -110,9 +106,7 @@ def periodicity_residual(params: SystemParams, m: int, n: int) -> PeriodicityRes
     m pi / delta.  A zero quasienergy is flagged periodic outright (constant
     phase slope; the formula would report residual = n).
     """
-    if m != int(m) or int(m) < 1 or n != int(n) or int(n) < 1:
-        raise ValueError("m and n must be positive integers")
-    m, n = int(m), int(n)
+    m, n = check_count("m", m, 1), check_count("n", n, 1)
     energy = quasienergy(params)
     if energy == 0.0:
         return PeriodicityResult(m=m, n=n, residual=float(n), is_periodic=True)
@@ -129,13 +123,12 @@ def solve_periodic_ratio(params_base: SystemParams, m: int, n: int) -> float:
     the value satisfies m delta = n |E_N|, so feeding it back into
     ``periodicity_residual`` closes with the roles of (m, n) swapped.
     """
-    if m != int(m) or int(m) < 1 or n != int(n) or int(n) < 1:
-        raise ValueError("m and n must be positive integers")
+    m, n = check_count("m", m, 1), check_count("n", n, 1)
     if params_base.amplitude == 0.0:
         _warnings.warn("zero drive amplitude: periodicity condition is degenerate",
                        stacklevel=2)
         return 0.0
-    return (int(n) / int(m)) * 0.5 * mean_bessel(params_base)
+    return (n / m) * 0.5 * mean_bessel(params_base)
 
 
 def trace_periodicity_check(trace: PopulationTrace, period: float, reps: int = 1) -> float:
@@ -144,11 +137,8 @@ def trace_periodicity_check(trace: PopulationTrace, period: float, reps: int = 1
     Shifted samples are linearly interpolated on the trace.  Raises if the
     trace spans less than (reps + 1) periods.
     """
-    if period <= 0:
-        raise ValueError("period must be > 0")
-    if reps != int(reps) or int(reps) < 1:
-        raise ValueError("reps must be a positive integer")
-    reps = int(reps)
+    check_real("period", period, ">", 0.0)
+    reps = check_count("reps", reps, 1)
     t = trace.times
     span = t[-1] - t[0]
     if span < (reps + 1) * period * (1.0 - 1e-12):
@@ -172,13 +162,10 @@ def spectral_lines(params: SystemParams,
     are dropped.  Positive frequencies are absorption lines, negative ones
     amplification.
     """
-    if not weight_threshold >= 0:
-        raise ValueError(f"weight_threshold must be >= 0, got {weight_threshold!r}")
+    check_real("weight_threshold", weight_threshold, ">=", 0.0)
     if index_cutoff is None:
         index_cutoff = int(math.ceil(params.drive_ratio)) + 20
-    if index_cutoff != int(index_cutoff) or int(index_cutoff) < 0:
-        raise ValueError("index_cutoff must be a non-negative integer")
-    cutoff = int(index_cutoff)
+    cutoff = check_count("index_cutoff", index_cutoff, 0)
     if 2 * cutoff > MAX_ORDER:
         raise ValueError(f"index_cutoff must be <= {MAX_ORDER // 2} (Bessel orders up to "
                          f"2 index_cutoff; the default is ceil(A/omega_0) + 20), got {cutoff}")
@@ -201,8 +188,7 @@ def xconfig_spectral_lines(omega0: float, delta_mod: float, n_range: int) -> lis
     No drive-dependent shift appears; the catalog depends only on the carrier
     and the modulation frequency.
     """
-    if n_range != int(n_range) or int(n_range) < 0:
-        raise ValueError("n_range must be a non-negative integer")
-    if delta_mod <= 0:
-        raise ValueError("delta_mod must be > 0")
-    return [omega0 + n * delta_mod for n in range(-int(n_range), int(n_range) + 1)]
+    n_range = check_count("n_range", n_range, 0)
+    check_real("omega0", omega0, ">", 0.0)
+    check_real("delta_mod", delta_mod, ">", 0.0)
+    return [omega0 + n * delta_mod for n in range(-n_range, n_range + 1)]

@@ -21,7 +21,7 @@ from .analysis import (DEFAULT_WEIGHT_THRESHOLD, periodicity_residual, quasiener
 from .dynamics import (DEFAULT_TOL, AmplitudePair, analytic_populations, evolve_full,
                        integrate_corrected, integrate_reduced)
 from .floquet import quasienergy
-from .model import SystemParams
+from .model import SystemParams, check_real
 from .specfun import check_domain
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
@@ -106,16 +106,17 @@ def _typed(key: str, raw):
 
 
 def _check(key: str, value, config: RunConfig | None = None) -> None:
-    """Raise unless ``value`` is finite and meets the rule of ``key``."""
+    """Raise unless ``value`` is finite and meets the rule of ``key``
+    (``model.check_real``)."""
     rule = _KEYS[key][1]
     if value is None or not isinstance(rule, str):
         return
-    if not math.isfinite(value):
-        raise ConfigError(f"invalid value for '{key}': must be finite, got {value}")
     op, bound = rule.split()
-    bound = getattr(config, bound) if bound in _KEYS else float(bound)
-    if not (value > bound if op == ">" else value >= bound):
-        raise ConfigError(f"invalid value for '{key}': must be {rule}, got {value}")
+    try:
+        check_real(key, value, op, getattr(config, bound) if bound in _KEYS else float(bound))
+    except ValueError:
+        raise ConfigError(f"invalid value for '{key}': must be finite and {rule}, "
+                          f"got {value}") from None
 
 
 def _parse_source(source: str) -> dict:
@@ -267,9 +268,8 @@ def _run_periodicity(config: RunConfig) -> None:
 def _run_spectrum(config: RunConfig) -> None:
     lines = spectral_lines(config.params, weight_threshold=config.weight_threshold,
                            index_cutoff=config.index_cutoff)
-    rows = [(line.m, line.n, line.frequency, line.weight) for line in lines]
-    _write_rows(config, ["m", "n", "frequency", "weight"], rows)
-    print(f"spectrum: wrote {len(rows)} lines to {config.out}")
+    _write_rows(config, ["m", "n", "frequency", "weight"], lines)
+    print(f"spectrum: wrote {len(lines)} lines to {config.out}")
 
 
 def _run_oracle(config: RunConfig) -> None:

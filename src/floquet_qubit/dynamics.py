@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .floquet import build_phase_decomposition, effective_bessel_argument
-from .model import DETUNING_RATIO_WARN, SystemParams, drive_field
+from .model import DETUNING_RATIO_WARN, SystemParams, check_real, drive_field
 from .specfun import bessel_j
 
 __all__ = [
@@ -113,10 +113,10 @@ class PopulationTrace:
             raise ValueError("times, p1, p2 must be 1-d arrays of equal length")
         if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
-        if np.any(self.p1 < -1e-9) or np.any(self.p1 > 1 + 1e-9):
+        if not (np.all(self.p1 >= -1e-9) and np.all(self.p1 <= 1 + 1e-9)):
             raise ValueError("p1 outside [0, 1]")
-        if np.any(np.abs(self.p1 + self.p2 - 1.0) > 1e-8):
-            raise ValueError("populations must sum to 1 within 1e-8")
+        if not np.all(np.abs(self.p1 + self.p2 - 1.0) <= 1e-8):
+            raise ValueError("p1 + p2 must sum to 1 within 1e-8")
 
 
 @dataclass(frozen=True)
@@ -133,8 +133,9 @@ def _validate_times(times) -> np.ndarray:
     arr = np.asarray(times, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("times must be a non-empty 1-d array")
-    if arr[0] < 0:
-        raise ValueError("times must be >= 0")
+    if not (arr[0] >= 0 and math.isfinite(arr[-1])):
+        raise ValueError("times must be finite and >= 0")
+    # a NaN between finite ends fails the increase
     if arr.size > 1 and not np.all(np.diff(arr) > 0):
         raise ValueError("times must be strictly increasing")
     return arr
@@ -311,9 +312,8 @@ def _propagate(field, params: SystemParams, times, tol: float,
     for the segments and the step doubling.
     """
     arr = _validate_times(times)
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    if initial is not None and abs(initial.norm - 1.0) > 1e-12:
+    check_real("tol", tol, ">", 0.0)
+    if initial is not None and not abs(initial.norm - 1.0) <= 1e-12:
         raise ValueError(f"initial must have unit norm within 1e-12, got {initial.norm!r}")
     t_end = arr[-1]
     # rounding may put the last node a hair past t_end: a segment no sample reads
@@ -433,8 +433,8 @@ def xconfig_dynamics(v: float, delta_mod: float, t: float) -> XConfigPoint:
     the resonant rotating-frame coupling (half the per-component drive
     amplitude of the lab-frame field).
     """
-    if delta_mod == 0:
-        raise ValueError("delta_mod must be nonzero")
+    if not 0 < abs(delta_mod) < math.inf:
+        raise ValueError(f"delta_mod must be finite and nonzero, got {delta_mod!r}")
     theta = (v / delta_mod) * math.sin(delta_mod * float(t))
     return XConfigPoint(p_up=math.sin(theta) ** 2,
                         qes_plus=cmath.exp(1j * theta),

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .model import SystemParams
+from .model import SystemParams, check_count, check_real
 from .specfun import bessel_j, bessel_products, check_domain
 
 __all__ = [
@@ -193,9 +193,7 @@ def phase_gamma(params: SystemParams, t: float) -> tuple[float, PhaseDecompositi
     The value is the closed form of ``build_phase_decomposition``,
     slope * t + periodic_part(t), for t >= 0.
     """
-    tf = float(t)
-    if tf < 0.0:
-        raise ValueError(f"phase_gamma requires t >= 0, got {t!r}")
+    tf = check_real("t", float(t), ">=", 0.0)
     decomposition = build_phase_decomposition(params)
     return float(decomposition.gamma_at(tf)), decomposition
 
@@ -244,10 +242,9 @@ def fourier_phase(params: SystemParams, n_max: int) -> FourierPhase:
     overflows, at any r >= 0 or harmonic.  Like the envelope functions it
     raises ``ValueError`` outside ``specfun.check_domain``.
     """
-    if n_max != int(n_max) or int(n_max) < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
+    n_max = check_count("n_max", n_max, 1)
     order = params.order
-    positive = _coupling_harmonics(order, *bessel_products(order, params.drive_ratio), int(n_max))
+    positive = _coupling_harmonics(order, *bessel_products(order, params.drive_ratio), n_max)
     coefficients = np.concatenate((positive[:0:-1], positive))
     return FourierPhase(coefficients=coefficients, period=params.period)
 

@@ -49,6 +49,28 @@ DETUNING_RATIO_WARN = 0.01
 TUNNELING_RATIO_WARN = 0.10
 
 
+def check_real(name: str, value, op: str, bound: float):
+    """``value`` if it is finite and ``value op bound`` holds (``op`` is
+    ``">"`` or ``">="``); otherwise ``ValueError`` naming ``name``.  A bound
+    of -inf asks for finiteness alone."""
+    if not (math.isfinite(value) and (value > bound if op == ">" else value >= bound)):
+        rule = f" and {op} {bound:g}" if bound > -math.inf else ""
+        raise ValueError(f"{name} must be finite{rule}, got {value!r}")
+    return value
+
+
+def check_count(name: str, value, least: int) -> int:
+    """``int(value)`` if ``value`` is a finite integral number >= ``least``;
+    otherwise ``ValueError`` naming ``name``."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):  # None, NaN, infinity
+        count = None
+    if count is None or count != value or count < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Immutable system record: qubit bias, tunneling and drive parameters.
@@ -77,22 +99,13 @@ class SystemParams:
     order: int = 1
 
     def __post_init__(self):
-        if self.order != int(self.order) or int(self.order) < 1:
-            raise ValueError(f"order must be a positive integer, got {self.order!r}")
-        object.__setattr__(self, "order", int(self.order))
-        for name in ("epsilon0", "delta_gap", "amplitude", "carrier", "modulation"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-        if self.amplitude < 0:
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
-        if self.carrier <= 0:
-            raise ValueError(f"carrier must be > 0, got {self.carrier}")
-        if not 0 < self.modulation < self.carrier:
-            raise ValueError(
-                f"modulation must satisfy 0 < modulation < carrier, got {self.modulation}"
-            )
+        object.__setattr__(self, "order", check_count("order", self.order, 1))
+        for name, op, bound in (("epsilon0", ">", -math.inf), ("delta_gap", ">", -math.inf),
+                                ("amplitude", ">=", 0.0), ("carrier", ">", 0.0),
+                                ("modulation", ">", 0.0)):
+            object.__setattr__(self, name, check_real(name, float(getattr(self, name)), op, bound))
+        if self.modulation >= self.carrier:
+            raise ValueError(f"modulation must be < carrier, got {self.modulation}")
 
     @property
     def detuning(self) -> float:

@@ -79,7 +79,7 @@ def bessel_j(order: int, x):
     -------
     float or ndarray matching the shape of ``x``.
     """
-    if order != int(order):
+    if not float(order).is_integer():  # NaN and infinity are not
         raise ValueError(f"bessel_j order must be an integer, got {order!r}")
     n = int(order)
     parity = -1.0 if n < 0 and n % 2 else 1.0

@@ -332,6 +332,15 @@ def test_sweep_refuses_the_domain_before_computing(tmp_path, monkeypatch, capsys
     assert len(calls) == 0
 
 
+def test_cli_rule_message_names_the_key_and_its_rule(tmp_path, capsys):
+    out = tmp_path / "z.csv"
+    assert main(["zeros", "--ratio-min", "2", "--ratio-max", "1", "--out", str(out),
+                 "--format", "csv"]) == 1
+    assert capsys.readouterr().err == ("error: invalid value for 'ratio_max': must be finite "
+                                       "and > ratio_min, got 1.0\n")
+    assert not out.exists()
+
+
 def test_cli_error_goes_to_stderr(tmp_path, capsys):
     code = main(["dynamics", "--carrier", "-1", "--out", str(tmp_path / "x.csv"),
                  "--format", "csv"])

@@ -3,9 +3,28 @@ import math
 import numpy as np
 import pytest
 
+from floquet_qubit.analysis import (
+    periodicity_residual,
+    quasienergy_zeros,
+    solve_periodic_ratio,
+    spectral_lines,
+    trace_periodicity_check,
+    xconfig_spectral_lines,
+)
+from floquet_qubit.dynamics import (
+    AmplitudePair,
+    PopulationTrace,
+    analytic_populations,
+    evolve_full,
+    evolve_reduced,
+    xconfig_dynamics,
+)
+from floquet_qubit.floquet import fourier_phase, phase_gamma
 from floquet_qubit.model import (
     HADAMARD,
     SystemParams,
+    check_count,
+    check_real,
     circuit_controls,
     drive_field,
     hamiltonian,
@@ -13,6 +32,7 @@ from floquet_qubit.model import (
     validate_regime,
 )
 
+from floquet_qubit.specfun import bessel_j
 from oracles import central_difference
 
 
@@ -190,3 +210,72 @@ def test_circuit_controls():
     assert bz == 0.0
     bx, _ = circuit_controls(1.0, 1.0, flux_ratio=0.0, gate_charge=0.0)
     assert bx == 2.0
+
+
+# ---------------------------------------------------------------------------
+# argument rules: every entry point refuses NaN, infinity and out-of-range
+# values with a ValueError that names the argument
+# ---------------------------------------------------------------------------
+
+_TRACE = PopulationTrace(times=np.linspace(0.0, 10.0, 11), p1=np.ones(11), p2=np.zeros(11))
+
+# (entry point, argument, call of the value, one out-of-range value or None
+# where the rule is finiteness alone)
+_ARGUMENTS = [
+    ("SystemParams", "order", lambda v: make_params(order=v), 0),
+    ("SystemParams", "epsilon0", lambda v: make_params(epsilon0=v), None),
+    ("SystemParams", "delta_gap", lambda v: make_params(delta_gap=v), None),
+    ("SystemParams", "amplitude", lambda v: make_params(amplitude=v), -0.1),
+    ("SystemParams", "carrier", lambda v: make_params(carrier=v), 0.0),
+    ("SystemParams", "modulation", lambda v: make_params(modulation=v), 2.0),
+    ("fourier_phase", "n_max", lambda v: fourier_phase(make_params(), v), 0),
+    ("phase_gamma", "t", lambda v: phase_gamma(make_params(), v), -1.0),
+    ("periodicity_residual", "m", lambda v: periodicity_residual(make_params(), v, 1), 0),
+    ("periodicity_residual", "n", lambda v: periodicity_residual(make_params(), 1, v), 0),
+    ("solve_periodic_ratio", "m", lambda v: solve_periodic_ratio(make_params(), v, 1), 0),
+    ("solve_periodic_ratio", "n", lambda v: solve_periodic_ratio(make_params(), 1, v), 0),
+    ("trace_periodicity_check", "period", lambda v: trace_periodicity_check(_TRACE, v), 0.0),
+    ("trace_periodicity_check", "reps", lambda v: trace_periodicity_check(_TRACE, 1.0, v), 0),
+    ("spectral_lines", "index_cutoff",
+     lambda v: spectral_lines(make_params(), index_cutoff=v), -1),
+    ("spectral_lines", "weight_threshold",
+     lambda v: spectral_lines(make_params(), weight_threshold=v), -1.0),
+    ("xconfig_spectral_lines", "omega0", lambda v: xconfig_spectral_lines(v, 0.01, 2), 0.0),
+    ("xconfig_spectral_lines", "delta_mod", lambda v: xconfig_spectral_lines(1.0, v, 2), 0.0),
+    ("xconfig_spectral_lines", "n_range", lambda v: xconfig_spectral_lines(1.0, 0.01, v), -1),
+    ("quasienergy_zeros", "ratio_min", lambda v: quasienergy_zeros(make_params(), v, 1.0), -0.5),
+    ("quasienergy_zeros", "ratio_max", lambda v: quasienergy_zeros(make_params(), 0.5, v), 0.5),
+    ("quasienergy_zeros", "tol", lambda v: quasienergy_zeros(make_params(), 0.0, 1.0, tol=v), 0.0),
+    ("evolve_reduced", "tol", lambda v: evolve_reduced(make_params(), [0.0, 5.0], tol=v), 0.0),
+    ("evolve_full", "initial",
+     lambda v: evolve_full(make_params(), "z", [0.0, 5.0], initial=AmplitudePair(v, 0.0)), 1.1),
+    ("analytic_populations", "times", lambda v: analytic_populations(make_params(), [v]), -1.0),
+    ("evolve_full", "times", lambda v: evolve_full(make_params(), "z", [0.0, v]), -1.0),
+    ("xconfig_dynamics", "delta_mod", lambda v: xconfig_dynamics(0.1, v, 1.0), 0.0),
+    ("bessel_j", "order", lambda v: bessel_j(v, 1.0), 1.5),
+    ("PopulationTrace", "p1", lambda v: PopulationTrace(times=[0.0], p1=[v], p2=[v]), 1.5),
+    ("PopulationTrace", "p2", lambda v: PopulationTrace(times=[0.0], p1=[1.0], p2=[v]), 0.5),
+]
+
+
+@pytest.mark.parametrize("call, name, value", [
+    pytest.param(call, name, value, id=f"{entry}-{name}={value}")
+    for entry, name, call, bad in _ARGUMENTS
+    for value in (math.nan, math.inf, -math.inf, bad) if value is not None
+])
+def test_entry_points_refuse_bad_arguments_by_name(call, name, value):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call(value)
+
+
+def test_checks_return_the_checked_value():
+    assert check_real("x", 0.0, ">=", 0.0) == 0.0
+    count = check_count("n", 3.0, 1)
+    assert count == 3 and type(count) is int
+    assert check_count("n", 10 ** 400, 0) == 10 ** 400
+    with pytest.raises(ValueError, match="x must be finite and > 0, got nan"):
+        check_real("x", math.nan, ">", 0.0)
+    with pytest.raises(ValueError, match="x must be finite, got inf"):
+        check_real("x", math.inf, ">", -math.inf)
+    with pytest.raises(ValueError, match="n must be an integer >= 1, got inf"):
+        check_count("n", math.inf, 1)
