@@ -4,14 +4,21 @@ both coupling configurations.
 
 Every evolution here is a 2x2 equation i y' = (b(t).sigma) y with a real
 field b, given as the pair (w, z) = (b_x + i b_y, b_z), and one kernel
-propagates them all: the fourth-order Magnus method (Blanes, Casas, Oteo &
-Ros, Phys. Rep. 470, 151 (2009)).  A step of length h is exp(-i c.sigma)
-with c = (h/2)(b1 + b2) - (sqrt(3)/6) h^2 (b1 x b2), b1 and b2 taken at the
-step's two Gauss-Legendre nodes; in the same form c is
-w_c = (h/2)(w1 + w2) - (sqrt(3)/6) h^2 i (z1 w2 - z2 w1) and
-z_c = (h/2)(z1 + z2) - (sqrt(3)/6) h^2 Im(conj(w1) w2).  Every SU(2) matrix
-[[alpha, -conj(beta)], [beta, conj(alpha)]] is carried as its Cayley-Klein
-pair (alpha, beta), its first column; a step is
+propagates them all: the sixth-order Magnus method of Blanes, Casas, Oteo &
+Ros (Phys. Rep. 470, 151 (2009)).  A step of length h is exp(-i c.sigma),
+with b1, b2, b3 the field at the step's three Gauss-Legendre nodes
+(1/2 - sqrt(15)/10, 1/2 and 1/2 + sqrt(15)/10 of the step).  Their
+alpha1 = h A2, alpha2 = (sqrt(15)/3) h (A3 - A1), alpha3 = (10/3) h (A3 -
+2 A2 + A1) with A = -i b.sigma, C1 = [alpha1, alpha2], C2 = -[alpha1,
+2 alpha3 + C1]/60 and Omega = alpha1 + alpha3/12 + [-20 alpha1 - alpha3 +
+C1, alpha2 + C2]/240 = -i c.sigma turn into vectors, because
+[-i u.sigma, -i v.sigma] = -i (2 u x v).sigma: with p = b2,
+q = (sqrt(15)/3)(b3 - b1), r = (10/3)(b3 - 2 b2 + b1) and k = 2 h p x q,
+c = h (p + r/12 + (h/120) (k - r - 20 p) x (q - (h/30) p x (2 r + k))).
+In the (w, z) form, u x v is (i (z_u w_v - z_v w_u), Im(conj(w_u) w_v)).
+A field component that does not change in time is passed as a constant.
+Every SU(2) matrix [[alpha, -conj(beta)], [beta, conj(alpha)]] is carried
+as its Cayley-Klein pair (alpha, beta), its first column; a step is
 (cos|c| - i sinc z_c, -i sinc w_c) with sinc = sin|c| / |c|, so the
 propagation is unitary by construction, and the state (c1, c2) is itself
 the pair at the head of the chain.
@@ -20,27 +27,24 @@ The window is cut into segments at every sample time, every node of
 cos(delta t) (the kink of the paper's |cos| envelope) and, for the full
 Hamiltonian, every carrier period.  Each segment takes the same number of
 equal steps, multiplied pairwise; the segments are then chained in time
-order.  The steps per segment double until two successive runs differ by
-at most 15 tol at every sample, a sample's difference being the 2-norm of
-its amplitude change, which a change of basis keeps (the Hadamard between
-the z and x axes, so both runs stop at the same doubling).  Halving the
-step of a fourth-order method cuts its error 16-fold, so ``tol`` bounds the
-Richardson estimate of the global error of the returned amplitudes, as a
-2-norm per sample.  The doubling starts at 1 step for the reduced and
-corrected equations, whose field varies on the modulation scale: on a
-densely sampled window their change from 1 to 2 steps is usually far below
-15 tol already.  It starts at 2 for the full Hamiltonian: its segments span
-up to a carrier period, which one step does not resolve, and its change
-from 1 to 2 steps is far above 15 tol, so starting at 1 would only add a
-doubling.  The steps are built in blocks, so memory does not grow with the
-window.
+order.  The steps per segment double, from 1, until two successive runs
+differ by at most 63 tol at every sample, a sample's difference being the
+2-norm of its amplitude change, which a change of basis keeps (the
+Hadamard between the z and x axes, so both runs stop at the same
+doubling).  Halving the step of a sixth-order method cuts its error
+64-fold, so the change is 63 times the error of the finer run, and
+``tol`` bounds the Richardson estimate of the global error of the returned
+amplitudes, as a 2-norm per sample.  Every equation starts at 1 step: when
+one step per segment does not resolve the field, that level costs one step
+per segment against 2S - 1 for the run that ends at S steps.  The steps
+are built in blocks, so memory does not grow with the window.
 
 Rounding sets the smallest reachable ``tol``, and it grows with the window
 (about 1e-13 over 10^4 carrier periods).  ``IntegrationError`` is raised
 once the change between doublings stops halving below the rounding bound
-(eps times the steps taken), once the 16-fold rate would need more than 2^14
-steps per segment to reach ``tol``, or past that budget.  ``initial`` states
-must have unit norm within 1e-12.
+(eps times the steps taken), once the 64-fold rate would need more than
+2^14 steps per segment to reach ``tol`` (steps * (change / (63 tol))^(1/6)),
+or past that budget.  ``initial`` states must have unit norm within 1e-12.
 
 The population traces are |c1|^2 and |c2|^2 of the propagated amplitudes;
 ``PopulationTrace`` checks that they sum to 1.
@@ -53,10 +57,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .floquet import build_phase_decomposition, effective_bessel_argument
 from .model import DETUNING_RATIO_WARN, SystemParams, check_real, drive_field
-from .specfun import bessel_j
+from .specfun import bessel_j, bessel_series
 
 __all__ = [
     "IntegrationError",
@@ -77,7 +82,8 @@ __all__ = [
 DEFAULT_TOL = 1.0e-9
 _STEP_BUDGET = 2 ** 14  # steps per segment past which tol counts as unreachable
 _BLOCK_STEPS = 2 ** 16  # steps held in memory at once
-_GAUSS = math.sqrt(3.0) / 6.0  # Gauss-Legendre node offset, in steps
+# Gauss-Legendre nodes about a step's midpoint, in steps
+_NODES = np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
 
 
 class IntegrationError(RuntimeError):
@@ -106,13 +112,11 @@ class PopulationTrace:
     p2: np.ndarray
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+        self.times = _validate_times(self.times)
         self.p1 = np.asarray(self.p1, dtype=float)
         self.p2 = np.asarray(self.p2, dtype=float)
-        if not (self.times.shape == self.p1.shape == self.p2.shape) or self.times.ndim != 1:
+        if not self.times.shape == self.p1.shape == self.p2.shape:
             raise ValueError("times, p1, p2 must be 1-d arrays of equal length")
-        if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must be strictly increasing")
         if not (np.all(self.p1 >= -1e-9) and np.all(self.p1 <= 1 + 1e-9)):
             raise ValueError("p1 outside [0, 1]")
         if not np.all(np.abs(self.p1 + self.p2 - 1.0) <= 1e-8):
@@ -248,16 +252,21 @@ def _evolve_two_amplitude(params: SystemParams, times, tol: float,
     """i c1' = -(delta_gap/2) J_N(w) e^{-i alpha} c2 and its mirror, with
     w = 2 r cos(delta t) (``signed``) or 2 r |cos(delta t)| and
     alpha = detuning * t - N pi; as a generator b.sigma on (c1, c2), the
-    field (w, z) = (b_x + i b_y, b_z) is
-    (-(delta_gap/2) J_N(w) (-1)^N exp(i detuning t), 0)."""
-    scale = -0.5 * params.delta_gap * (-1.0) ** params.order
+    field (w, z) = (b_x + i b_y, b_z) is (g exp(i detuning t), 0) with
+    g = -(delta_gap/2) J_N(w) (-1)^N.  It is propagated in the frame
+    rotating with R = exp(-i detuning t sigma_z / 2), where the field is
+    the real (g, -detuning/2), and turned back by R at the samples."""
+    # g as a Chebyshev series in t = cos(delta t) or |cos(delta t)|, built once
+    series = -0.5 * params.delta_gap * (-1.0) ** params.order * bessel_series(
+        params.order, params.drive_ratio)
 
     def field(t):
         c = np.cos(params.modulation * t)
-        g = scale * bessel_j(params.order, 2.0 * params.drive_ratio * (c if signed else np.abs(c)))
-        return g * np.exp(1j * detuning * t), 0.0
+        return chebyshev.chebval(c if signed else np.abs(c), series), -0.5 * detuning
 
-    return _propagate(field, params, times, tol, initial, carrier_edges=False)
+    states = _propagate(field, params, times, tol, initial, carrier_edges=False)
+    turn = np.exp(-0.5j * detuning * np.asarray(times, dtype=float))
+    return states * np.array([turn, np.conj(turn)])
 
 
 # ---------------------------------------------------------------------------
@@ -323,34 +332,33 @@ def _propagate(field, params: SystemParams, times, tol: float,
         edges.append(np.arange(1.0, params.carrier * t_end / (2.0 * math.pi)) * 2.0 * math.pi
                      / params.carrier)
     grid = np.unique(np.concatenate(edges))
+    samples = np.searchsorted(grid, arr)
     q = np.empty((2, grid.size), dtype=complex)
     # the state rides at the head of the chain as the pair (c1, c2)
     q[:, 0] = (1.0, 0.0) if initial is None else (initial.c1, initial.c2)
-    # one step per segment resolves the slow reduced fields, not the full
-    # one over a carrier period (module docstring)
-    previous, change, steps = None, math.inf, 2 if carrier_edges else 1
+    previous, change, steps = None, math.inf, 1
     while steps <= _STEP_BUDGET:
         per_block = max(1, _BLOCK_STEPS // steps)
         for lo in range(0, grid.size - 1, per_block):
             q[:, lo + 1:lo + 1 + per_block] = _segment_propagators(
                 field, grid[lo:lo + per_block + 1], steps)
-        states = _running_products(q)[:, np.searchsorted(grid, arr)]
+        states = _running_products(q)[:, samples]
         if previous is not None:
             # the largest 2-norm of a sample's change, which a rotation of
             # the basis (the Hadamard between the z and x runs) keeps
             last, change = change, float(np.max(np.linalg.norm(states - previous, axis=0)))
-            if change <= 15.0 * tol:
+            if change <= 63.0 * tol:
                 return states
-            # a doubling cuts a fourth-order change 16-fold once the steps
+            # a doubling cuts a sixth-order change 64-fold once the steps
             # resolve the field.  Stop when the change no longer halves
             # although it is below eps times the steps taken, a bound on the
             # rounding (coarse steps that do not resolve the field can stall
-            # too, at changes of order one), or when the 16-fold rate cannot
+            # too, at changes of order one), or when the 64-fold rate cannot
             # reach tol within the budget
             if last / 2 < change < np.finfo(float).eps * steps * grid.size:
                 raise IntegrationError(f"tol {tol:g} is below the rounding of this window: "
                                        f"step doublings stall at a change of {change:.1e}")
-            if steps * (change / (15.0 * tol)) ** 0.25 > _STEP_BUDGET:
+            if steps * (change / (63.0 * tol)) ** (1.0 / 6.0) > _STEP_BUDGET:
                 break
         previous, steps = states, 2 * steps
     raise IntegrationError(f"tol {tol:g} is not reached within {_STEP_BUDGET} steps per segment")
@@ -358,28 +366,51 @@ def _propagate(field, params: SystemParams, times, tol: float,
 
 def _segment_propagators(field, edges: np.ndarray, steps: int) -> np.ndarray:
     """One pair per segment between successive ``edges``: the product of its
-    ``steps`` equal fourth-order Magnus steps."""
+    ``steps`` equal sixth-order Magnus steps."""
     length = np.diff(edges)
     h = np.repeat(length / steps, steps)
     mid = (edges[:-1, None] + length[:, None] * ((np.arange(steps) + 0.5) / steps)).ravel()
-    q = _magnus_step(*_magnus_exponent(h, *field(mid - _GAUSS * h), *field(mid + _GAUSS * h)))
+    # the three Gauss-Legendre nodes of every step, one row each, in one call
+    q = _magnus_step(*_magnus_exponent(h, *field(mid + _NODES[:, None] * h)))
     q = q.reshape(2, -1, steps)
     while q.shape[2] > 1:
         q = _mul(q[:, :, 1::2], q[:, :, 0::2], np.empty_like(q[:, :, 1::2]))
     # the rounding of cos|c| repeats with one sign over equal steps; left in,
     # it adds up to a norm drift of 1e-11 over a 10^4-period window.  The
     # real and imaginary parts are divided as reals: a complex division by a
-    # real rounds twice and biases the norm, which doubles the drift
+    # real rounds twice and biases the norm, which doubles the drift.
+    # |alpha|^2 + |beta|^2 by explicit adds: a two-axis np.sum gives the
+    # same bits at ten times the cost
     v = q[:, :, 0].view(float).reshape(2, -1, 2)
-    return (v / np.sqrt(np.sum(v * v, axis=(0, 2)))[:, None]).reshape(2, -1).view(complex)
+    s = v * v
+    norm = np.sqrt((s[0, :, 0] + s[0, :, 1]) + (s[1, :, 0] + s[1, :, 1]))
+    return (v / norm[:, None]).reshape(2, -1).view(complex)
 
 
-def _magnus_exponent(h, w1, z1, w2, z2):
-    """(w, z) of c = (h/2)(b1 + b2) - (sqrt(3)/6) h^2 (b1 x b2) for the
-    fields (w1, z1) and (w2, z2) at a step's two nodes."""
-    g = _GAUSS * h * h
-    return (0.5 * h * (w1 + w2) - 1j * g * (z1 * w2 - z2 * w1),
-            0.5 * h * (z1 + z2) - g * (np.conj(w1) * w2).imag)
+def _cross(wu, zu, wv, zv):
+    """u x v for u = (wu, zu) and v = (wv, zv) in the (w, z) form."""
+    return 1j * (zu * wv - zv * wu), np.imag(np.conj(wu) * wv)
+
+
+def _magnus_exponent(h, w, z):
+    """(w, z) of the sixth-order exponent
+    c = h (p + r/12 + (h/120) (k - r - 20 p) x (q - (h/30) p x (2 r + k)))
+    for the field (w, z) at a step's three nodes b1, b2, b3, each component
+    an array with one row per node or a constant, with p = b2,
+    q = (sqrt(15)/3)(b3 - b1), r = (10/3)(b3 - 2 b2 + b1) and k = 2 h p x q
+    (module docstring)."""
+    (w1, w2, w3), (z1, z2, z3) = (x if np.ndim(x) else (x, x, x) for x in (w, z))
+    s, t = math.sqrt(15.0) / 3.0, 10.0 / 3.0
+    qw, qz = s * (w3 - w1), s * (z3 - z1)
+    rw, rz = t * (w3 + w1) - 2.0 * t * w2, t * (z3 + z1) - 2.0 * t * z2
+    kw, kz = _cross(w2, z2, qw, qz)
+    h2 = 2.0 * h
+    kw, kz = h2 * kw, h2 * kz
+    vw, vz = _cross(w2, z2, 2.0 * rw + kw, 2.0 * rz + kz)
+    g = h / 30.0
+    ow, oz = _cross(kw - rw - 20.0 * w2, kz - rz - 20.0 * z2, qw - g * vw, qz - g * vz)
+    g = h / 120.0
+    return h * (w2 + rw / 12.0 + g * ow), h * (z2 + rz / 12.0 + g * oz)
 
 
 def _magnus_step(w: np.ndarray, z: np.ndarray) -> np.ndarray:

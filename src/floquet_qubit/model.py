@@ -17,6 +17,7 @@ down/up) so the two conventions never mix silently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,8 +53,11 @@ TUNNELING_RATIO_WARN = 0.10
 def check_real(name: str, value, op: str, bound: float):
     """``value`` if it is finite and ``value op bound`` holds (``op`` is
     ``">"`` or ``">="``); otherwise ``ValueError`` naming ``name``.  A bound
-    of -inf asks for finiteness alone."""
-    if not (math.isfinite(value) and (value > bound if op == ">" else value >= bound)):
+    of -inf asks for finiteness alone; an integer past the float range is
+    not finite."""
+    # abs(value) <= the largest float fails for NaN, infinity and an integer
+    # that no float holds, where math.isfinite would overflow
+    if not (abs(value) <= sys.float_info.max and (value > bound if op == ">" else value >= bound)):
         rule = f" and {op} {bound:g}" if bound > -math.inf else ""
         raise ValueError(f"{name} must be finite{rule}, got {value!r}")
     return value

@@ -7,9 +7,11 @@ Jacobi-Anger products that expand them (DLMF 10.12):
 
 so J_N(2 R t) = sum_k J_k(R) J_{N-k}(R) T_{|2k-N|}(t) for |t| <= 1, a
 Chebyshev series whose coefficients come from one integer-order
-``scipy.special.jv`` call.  Scalar calls go to ``jv``; an array is summed as
-that series, with R half its largest |x|.  The same products give
-``floquet`` its Fourier table and accumulated phase.  The module has no
+``scipy.special.jv`` call (``bessel_series``).  Scalar calls go to ``jv``;
+an array is summed as that series, with R half its largest |x|.  The same
+products give ``floquet`` its Fourier table and accumulated phase, and the
+same series gives ``dynamics`` the envelope J_N(2 r cos(delta t)) of its
+reduced equations.  The module has no
 dependency on the rest of the package.
 """
 
@@ -19,7 +21,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 from scipy import special
 
-__all__ = ["bessel_j", "bessel_products", "check_domain"]
+__all__ = ["bessel_j", "bessel_products", "bessel_series", "check_domain"]
 
 MAX_ORDER = 200
 MAX_ARGUMENT = 1.0e3
@@ -51,16 +53,28 @@ def bessel_products(order: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     return 2 * k - order, bessel * bessel[::-1]
 
 
+def bessel_series(order: int, ratio: float) -> np.ndarray:
+    """Chebyshev coefficients c_m of J_N(2 R t) = sum_m c_m T_m(t), |t| <= 1,
+    for N = ``order`` >= 0 and R = ``ratio``: c_m = J_k(R) J_{N-k}(R) summed
+    over |2k - N| = m (``bessel_products``), with the trailing ones below
+    rounding of the largest trimmed.  Sum it with
+    ``numpy.polynomial.chebyshev.chebval``; every T_m has the parity of N.
+    """
+    j, products = bessel_products(order, ratio)
+    # chebtrim leaves one zero coefficient when every product underflows
+    # (high order, small R)
+    tol = np.finfo(float).eps * float(np.max(np.abs(products)))
+    return chebyshev.chebtrim(np.bincount(np.abs(j), weights=products), tol)
+
+
 def bessel_j(order: int, x):
     """Bessel function of the first kind J_order(x).
 
     A scalar goes to ``scipy.special.jv``.  An array takes R as half its
     largest |x| and sums the Chebyshev series
     J_N(2 R t) = sum_m c_m T_m(t), t = x / (2 R), by Clenshaw's recurrence
-    (``numpy.polynomial.chebyshev.chebval``).  The coefficients are the
-    ``bessel_products`` at R, c_m = J_k(R) J_{N-k}(R) summed over
-    |2k - N| = m, with the trailing ones below rounding of the largest
-    trimmed.  Every T_m has the parity of N, so J_N(-x) = (-1)^N J_N(x)
+    (``numpy.polynomial.chebyshev.chebval``) on the ``bessel_series`` at R.
+    Every T_m has the parity of N, so J_N(-x) = (-1)^N J_N(x)
     comes out of the series, bit for bit; x = 0 gives J_N(0) = 1 if N = 0
     else 0 exactly.  Array values are accurate in absolute terms, within
     about 4e-14 of mpmath over the whole domain, not relatively: a tiny
@@ -92,11 +106,7 @@ def bessel_j(order: int, x):
 
     xa = np.asarray(x, dtype=float)
     top = float(np.max(np.abs(xa), initial=0.0))  # NaN if any x is NaN
-    j, products = bessel_products(n, 0.5 * top)
-    # chebtrim leaves one zero coefficient when every product underflows
-    # (high order, small |x|)
-    tol = np.finfo(float).eps * float(np.max(np.abs(products)))
-    coefficients = chebyshev.chebtrim(np.bincount(np.abs(j), weights=products), tol)
+    coefficients = bessel_series(n, 0.5 * top)
     # top = 0 only when every x is 0; the series leaves rounding at t = 0,
     # where J_N(0) is exactly 1 for N = 0 and 0 otherwise
     out = chebyshev.chebval(xa / (top or 1.0), coefficients)

@@ -25,7 +25,7 @@ from floquet_qubit.dynamics import (
     xconfig_dynamics,
 )
 from floquet_qubit.floquet import build_phase_decomposition, phase_gamma
-from floquet_qubit.dynamics import _magnus_exponent, _magnus_step, _mul
+from floquet_qubit.dynamics import _magnus_exponent, _magnus_step, _mul, _segment_propagators
 from floquet_qubit.model import HADAMARD, SIGMA_X, SIGMA_Y, SIGMA_Z, SystemParams, hamiltonian
 
 from oracles import central_difference
@@ -330,16 +330,16 @@ def _criterion_3_window():
 
 
 @pytest.mark.parametrize("window, evolve, reason", [
-    ("short", lambda p, times: evolve_full(p, "z", times, tol=1e-17), "not reached within"),
-    ("long", lambda p, times: evolve_full(p, "z", times, tol=1e-17), "not reached within"),
+    ("short", lambda p, times: evolve_full(p, "z", times, tol=1e-17), "below the rounding"),
+    ("long", lambda p, times: evolve_full(p, "z", times, tol=1e-17), "below the rounding"),
     ("long", lambda p, times: evolve_reduced(p, times, tol=1e-17), "below the rounding"),
 ], ids=["short full", "long full", "long reduced"])
 def test_unreachable_tol_raises_quickly_and_small(window, evolve, reason):
-    # 15 * 1e-17 is below the rounding of the propagation.  The step doubling
+    # 63 * 1e-17 is below the rounding of the propagation.  The step doubling
     # must give up long before its budget of 2^14 steps per segment, which on
-    # the long window would take minutes: from the fourth-order rate on the
-    # full equations, and from the stalled change on the reduced ones, whose
-    # smooth field reaches the rounding after a few doublings
+    # the long window would take minutes: the sixth-order rate brings every
+    # run to the rounding within the budget, where the change between
+    # doublings stalls
     if window == "short":
         p = make_params(order=1, ratio=0.5, gap_over_mod=2.0, modulation=0.045)
         times = np.linspace(0.0, 600.0, 5)  # ~100 carrier periods
@@ -487,14 +487,64 @@ def test_magnus_step_is_finite_and_unitary_at_tiny_fields(size):
     assert np.max(np.abs(q[0].imag + z)) <= 1e-15 * size
 
 
-def test_magnus_exponent_matches_the_vector_form():
+def _commutator(a, b):
+    return a @ b - b @ a
+
+
+@pytest.mark.parametrize("shape", ["3-d", "constant w", "constant z", "z = 0"])
+def test_magnus_exponent_is_the_sixth_order_commutator_formula(shape):
+    # Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009), evaluated on
+    # 2x2 matrices: with A_k = -i b_k.sigma at the nodes 1/2 - sqrt(15)/10,
+    # 1/2 and 1/2 + sqrt(15)/10 of a step h, alpha1 = h A_2,
+    # alpha2 = (sqrt(15)/3) h (A_3 - A_1), alpha3 = (10/3) h (A_3 - 2 A_2 + A_1),
+    # C1 = [alpha1, alpha2], C2 = -[alpha1, 2 alpha3 + C1] / 60 and
+    # Omega = alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2] / 240,
+    # which must be -i c.sigma.  The shapes are those the evolutions pass:
+    # the full z axis keeps w constant, the full x axis z, the reduced z = 0
     rng = np.random.default_rng(13)
-    h = rng.uniform(0.01, 2.0, size=50)
-    b1, b2 = rng.normal(size=(3, 50)), rng.normal(size=(3, 50))
-    w, z = _magnus_exponent(h, b1[0] + 1j * b1[1], b1[2], b2[0] + 1j * b2[1], b2[2])
-    c = 0.5 * h * (b1 + b2) - math.sqrt(3.0) / 6.0 * h * h * np.cross(b1, b2, axis=0)
-    assert np.max(np.abs(w - (c[0] + 1j * c[1]))) <= 1e-14
-    assert np.max(np.abs(z - c[2])) <= 1e-14
+    size = 50
+    h = rng.uniform(0.01, 2.0, size=size)
+    b = rng.normal(size=(3, 3, size))  # node, component, step
+    if shape == "constant w":
+        b[:, :2] = b[0, :2, :1]
+        field = (b[0, 0, 0] + 1j * b[0, 1, 0], b[:, 2])
+    elif shape == "constant z":
+        b[:, 1] = 0.0
+        b[:, 2] = b[0, 2, 0]
+        field = (b[:, 0], b[0, 2, 0])
+    elif shape == "z = 0":
+        b[:, 2] = 0.0
+        field = (b[:, 0] + 1j * b[:, 1], 0.0)
+    else:
+        field = (b[:, 0] + 1j * b[:, 1], b[:, 2])
+    w, z = _magnus_exponent(h, *field)
+    for k in range(size):
+        a1, a2, a3 = (-1j * (bk[0, k] * SIGMA_X + bk[1, k] * SIGMA_Y + bk[2, k] * SIGMA_Z)
+                      for bk in b)
+        alpha1 = h[k] * a2
+        alpha2 = math.sqrt(15.0) / 3.0 * h[k] * (a3 - a1)
+        alpha3 = 10.0 / 3.0 * h[k] * (a3 - 2.0 * a2 + a1)
+        c1 = _commutator(alpha1, alpha2)
+        c2 = -_commutator(alpha1, 2.0 * alpha3 + c1) / 60.0
+        omega = alpha1 + alpha3 / 12.0 + _commutator(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0
+        c = -1j * (w[k].real * SIGMA_X + w[k].imag * SIGMA_Y + z[k] * SIGMA_Z)
+        assert np.max(np.abs(c - omega)) <= 1e-13 * max(1.0, np.max(np.abs(omega)))
+
+
+def test_magnus_kernel_is_sixth_order():
+    # b = (B cos wt, B sin wt, b0) turns into the constant B sigma_x +
+    # (b0 - w/2) sigma_z in the frame rotating at w about z, so
+    # U(T) = exp(-i w T sigma_z / 2) exp(-i T (B sigma_x + (b0 - w/2) sigma_z)).
+    # Halving the step must cut the global error of one segment 64-fold
+    big_b, omega, b0, t_end = 1.0, 2.0, 0.5, 5.0
+    exact = (expm(-0.5j * omega * t_end * SIGMA_Z)
+             @ expm(-1j * t_end * (big_b * SIGMA_X + (b0 - 0.5 * omega) * SIGMA_Z)))[:, 0]
+    errors = [np.linalg.norm(_segment_propagators(lambda t: (big_b * np.exp(1j * omega * t), b0),
+                                                  np.array([0.0, t_end]), steps)[:, 0] - exact)
+              for steps in (16, 32, 64, 128)]
+    assert errors[-1] > 1e-11  # above the rounding
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 60.0 < coarse / fine < 68.0
 
 
 def test_zero_field_keeps_the_initial_amplitudes():
@@ -553,6 +603,18 @@ def test_trace_validates_population_sum():
 def test_trace_validates_monotonic_times():
     with pytest.raises(ValueError):
         PopulationTrace(times=[0.0, 0.0], p1=[1.0, 1.0], p2=[0.0, 0.0])
+
+
+@pytest.mark.parametrize("times, reason", [
+    ([math.nan], "finite"),
+    ([0.0, math.inf], "finite"),
+    ([0.0, math.nan, 2.0], "increasing"),
+    ([1.0, 0.5], "increasing"),
+], ids=["nan", "inf", "nan between", "decreasing"])
+def test_trace_takes_the_sample_time_rule(times, reason):
+    # the rule of every evolution's sample times (_validate_times)
+    with pytest.raises(ValueError, match=reason):
+        PopulationTrace(times=times, p1=np.ones(len(times)), p2=np.zeros(len(times)))
 
 
 def test_amplitude_pair_norm():

@@ -277,5 +277,8 @@ def test_checks_return_the_checked_value():
         check_real("x", math.nan, ">", 0.0)
     with pytest.raises(ValueError, match="x must be finite, got inf"):
         check_real("x", math.inf, ">", -math.inf)
+    # past the float range, where math.isfinite overflows
+    with pytest.raises(ValueError, match="x must be finite and > 0, got 1000"):
+        check_real("x", 10 ** 400, ">", 0.0)
     with pytest.raises(ValueError, match="n must be an integer >= 1, got inf"):
         check_count("n", math.inf, 1)
