@@ -14,7 +14,7 @@ from scipy import optimize, special
 from .dynamics import PopulationTrace
 from .floquet import mean_bessel, quasienergy
 from .model import SystemParams, check_count, check_real
-from .specfun import MAX_ARGUMENT, MAX_ORDER
+from .specfun import MAX_ARGUMENT, MAX_ORDER, check_domain
 
 __all__ = [
     "SpectralLine",
@@ -73,13 +73,15 @@ def quasienergy_zeros(params_base: SystemParams, ratio_min: float, ratio_max: fl
     never reported, and a zero tunneling gap (E_N identically zero) gives no
     zeros.  The window must lie in the Bessel domain of ``fourier_phase``,
     2 ratio_max <= ``specfun.MAX_ARGUMENT``, which caps the scan at about
-    25 000 points.
+    25 000 points, and the order must too: ``ValueError`` outside
+    ``specfun.check_domain``, as ``quasienergy`` raises.
     """
     check_real("ratio_min", ratio_min, ">=", 0.0)
     check_real("ratio_max", ratio_max, ">", ratio_min)
     if 2.0 * ratio_max > MAX_ARGUMENT:
         raise ValueError(f"ratio_max must satisfy 2 ratio_max <= {MAX_ARGUMENT:g}, "
                          f"got {ratio_max!r}")
+    check_domain(params_base.order, ratio_max)
     check_real("tol", tol, ">", 0.0)
     if params_base.delta_gap == 0.0:
         return []

@@ -18,8 +18,8 @@ import numpy as np
 
 from .analysis import (DEFAULT_WEIGHT_THRESHOLD, periodicity_residual, quasienergy_zeros,
                        spectral_lines)
-from .dynamics import (DEFAULT_TOL, AmplitudePair, analytic_populations, evolve_full,
-                       integrate_corrected, integrate_reduced)
+from .dynamics import (DEFAULT_TOL, AmplitudePair, PopulationTrace, analytic_populations,
+                       evolve_corrected, evolve_full, evolve_reduced)
 from .floquet import quasienergy
 from .model import SystemParams, check_real
 from .specfun import check_domain
@@ -241,7 +241,8 @@ def _run_dynamics(config: RunConfig) -> None:
     if config.method == "analytic":
         trace = analytic_populations(config.params, times)
     else:
-        trace = integrate_reduced(config.params, times, tol=config.tol)
+        amps = evolve_reduced(config.params, times, tol=config.tol)
+        trace = PopulationTrace(times, *np.abs(amps) ** 2)
     rows = list(zip(trace.times, trace.p1, trace.p2))
     _write_rows(config, ["t", "p1", "p2"], rows)
     print(f"dynamics: wrote {len(rows)} samples to {config.out}")
@@ -285,8 +286,8 @@ def _run_oracle(config: RunConfig) -> None:
     rows = list(zip(times, analytic.p1, p1_full, err))
     _write_rows(config, ["t", "p1_analytic", "p1_full", "abs_err"], rows)
     print(f"max_abs_err = {format_real(float(np.max(err)))}")
-    corrected = integrate_corrected(config.params, times, tol=config.tol)
-    print(f"max_abs_err_corrected = {format_real(float(np.max(np.abs(corrected.p1 - p1_full))))}")
+    p1_corrected = np.abs(evolve_corrected(config.params, times, tol=config.tol)[0]) ** 2
+    print(f"max_abs_err_corrected = {format_real(float(np.max(np.abs(p1_corrected - p1_full))))}")
 
 
 # command: (runner, help)

@@ -20,8 +20,10 @@ A field component that does not change in time is passed as a constant.
 Every SU(2) matrix [[alpha, -conj(beta)], [beta, conj(alpha)]] is carried
 as its Cayley-Klein pair (alpha, beta), its first column; a step is
 (cos|c| - i sinc z_c, -i sinc w_c) with sinc = sin|c| / |c|, so the
-propagation is unitary by construction, and the state (c1, c2) is itself
-the pair at the head of the chain.
+propagation is unitary by construction.  The chain starts at the identity
+(1, 0), so its products are the pairs of the propagator U(t) at the
+samples; their first column is the state from |down>, and an ``initial``
+state psi is applied once, as U psi.
 
 The window is cut into segments at every sample time, every node of
 cos(delta t) (the kink of the paper's |cos| envelope) and, for the full
@@ -29,12 +31,15 @@ Hamiltonian, every carrier period.  Each segment takes the same number of
 equal steps, multiplied pairwise; the segments are then chained in time
 order.  The steps per segment double, from 1, until two successive runs
 differ by at most 63 tol at every sample, a sample's difference being the
-2-norm of its amplitude change, which a change of basis keeps (the
+2-norm of the change of U|down>, which a change of basis keeps (the
 Hadamard between the z and x axes, so both runs stop at the same
-doubling).  Halving the step of a sixth-order method cuts its error
-64-fold, so the change is 63 times the error of the finer run, and
-``tol`` bounds the Richardson estimate of the global error of the returned
-amplitudes, as a 2-norm per sample.  Every equation starts at 1 step: when
+doubling).  The difference of two SU(2) matrices is a multiple of a
+unitary, so that 2-norm is the change of U psi for every unit psi, and the
+operator norm of the change of U.  Halving the step of a sixth-order
+method cuts its error 64-fold, so the change is 63 times the error of the
+finer run, and ``tol`` bounds the Richardson estimate of the global error
+of U at every sample, in the operator norm: the same bound holds for the
+amplitudes from every initial state.  Every equation starts at 1 step: when
 one step per segment does not resolve the field, that level costs one step
 per segment against 2S - 1 for the run that ends at S steps.  The steps
 are built in blocks, so memory does not grow with the window.
@@ -71,17 +76,14 @@ __all__ = [
     "analytic_populations",
     "rabi_frequency",
     "evolve_reduced",
-    "integrate_reduced",
     "evolve_corrected",
-    "integrate_corrected",
     "evolve_full",
-    "integrate_full",
     "xconfig_dynamics",
 ]
 
 DEFAULT_TOL = 1.0e-9
 _STEP_BUDGET = 2 ** 14  # steps per segment past which tol counts as unreachable
-_BLOCK_STEPS = 2 ** 16  # steps held in memory at once
+_BLOCK_STEPS = 2 ** 14  # steps held in memory at once
 # Gauss-Legendre nodes about a step's midpoint, in steps
 _NODES = np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
 
@@ -145,12 +147,6 @@ def _validate_times(times) -> np.ndarray:
     return arr
 
 
-def _trace(times, amplitudes: np.ndarray) -> PopulationTrace:
-    """Populations |c1|^2, |c2|^2 of the amplitude rows (c1, c2) at ``times``."""
-    c1, c2 = amplitudes
-    return PopulationTrace(times=times, p1=np.abs(c1) ** 2, p2=np.abs(c2) ** 2)
-
-
 def analytic_populations(params: SystemParams, times) -> PopulationTrace:
     """Closed-form resonant populations P1 = cos^2(gamma_N), P2 = sin^2(gamma_N).
 
@@ -189,13 +185,6 @@ def evolve_reduced(params: SystemParams, times, tol: float = DEFAULT_TOL,
     """
     return _evolve_two_amplitude(params, times, tol, initial,
                                  signed=False, detuning=params.detuning)
-
-
-def integrate_reduced(params: SystemParams, times, tol: float = DEFAULT_TOL,
-                      initial: AmplitudePair | None = None) -> PopulationTrace:
-    """Populations |c1|^2, |c2|^2 of ``evolve_reduced`` at ``times``, from
-    |down> (or ``initial``)."""
-    return _trace(times, evolve_reduced(params, times, tol, initial))
 
 
 def evolve_corrected(params: SystemParams, times, tol: float = DEFAULT_TOL,
@@ -239,13 +228,6 @@ def evolve_corrected(params: SystemParams, times, tol: float = DEFAULT_TOL,
                                  signed=True, detuning=params.detuning + shift)
 
 
-def integrate_corrected(params: SystemParams, times, tol: float = DEFAULT_TOL,
-                        initial: AmplitudePair | None = None) -> PopulationTrace:
-    """Populations |c1|^2, |c2|^2 of ``evolve_corrected`` at ``times``, from
-    |down> (or ``initial``)."""
-    return _trace(times, evolve_corrected(params, times, tol, initial))
-
-
 def _evolve_two_amplitude(params: SystemParams, times, tol: float,
                           initial: AmplitudePair | None, signed: bool,
                           detuning: float) -> np.ndarray:
@@ -255,7 +237,8 @@ def _evolve_two_amplitude(params: SystemParams, times, tol: float,
     field (w, z) = (b_x + i b_y, b_z) is (g exp(i detuning t), 0) with
     g = -(delta_gap/2) J_N(w) (-1)^N.  It is propagated in the frame
     rotating with R = exp(-i detuning t sigma_z / 2), where the field is
-    the real (g, -detuning/2), and turned back by R at the samples."""
+    the real (g, -detuning/2), and its propagator is turned back by R at
+    the samples."""
     # g as a Chebyshev series in t = cos(delta t) or |cos(delta t)|, built once
     series = -0.5 * params.delta_gap * (-1.0) ** params.order * bessel_series(
         params.order, params.drive_ratio)
@@ -264,9 +247,12 @@ def _evolve_two_amplitude(params: SystemParams, times, tol: float,
         c = np.cos(params.modulation * t)
         return chebyshev.chebval(c if signed else np.abs(c), series), -0.5 * detuning
 
-    states = _propagate(field, params, times, tol, initial, carrier_edges=False)
-    turn = np.exp(-0.5j * detuning * np.asarray(times, dtype=float))
-    return states * np.array([turn, np.conj(turn)])
+    def propagator():
+        u = _propagate(field, params, times, tol, carrier_edges=False)
+        turn = np.exp(-0.5j * detuning * np.asarray(times, dtype=float))
+        return u * np.array([turn, np.conj(turn)])
+
+    return _apply_initial(initial, propagator)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +271,10 @@ def evolve_full(params: SystemParams, axis: str, times, tol: float = DEFAULT_TOL
     edges at every sample time, every node of cos(delta t) and every carrier
     period, so each segment spans at most one carrier period whatever the
     sampling.  ``tol`` bounds the estimated global error of the amplitudes
-    at every sample, as a 2-norm; ``IntegrationError`` is raised when
-    rounding or the budget of 2^14 steps per segment keeps it out of reach,
-    which happens at larger ``tol`` the longer the window.
+    at every sample, as a 2-norm, from every initial state;
+    ``IntegrationError`` is raised when rounding or the budget of 2^14 steps
+    per segment keeps it out of reach, which happens at larger ``tol`` the
+    longer the window.
     """
     if axis not in ("z", "x"):
         raise ValueError(f"axis must be 'z' or 'x', got {axis!r}")
@@ -296,14 +283,8 @@ def evolve_full(params: SystemParams, axis: str, times, tol: float = DEFAULT_TOL
         e = 0.5 * (params.epsilon0 + drive_field(params, t))
         return (-0.5 * params.delta_gap, e) if axis == "z" else (-e, 0.5 * params.delta_gap)
 
-    return _propagate(field, params, times, tol, initial, carrier_edges=True)
-
-
-def integrate_full(params: SystemParams, axis: str, times, tol: float = DEFAULT_TOL,
-                   initial: AmplitudePair | None = None) -> PopulationTrace:
-    """Populations |c1|^2, |c2|^2 of ``evolve_full`` at ``times`` in the
-    diabatic basis, from |down> (or ``initial``)."""
-    return _trace(times, evolve_full(params, axis, times, tol, initial))
+    return _apply_initial(initial,
+                          lambda: _propagate(field, params, times, tol, carrier_edges=True))
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +294,28 @@ def integrate_full(params: SystemParams, axis: str, times, tol: float = DEFAULT_
 # first column (alpha, beta), its Cayley-Klein pair; arrays of them are complex
 # with the pair on axis 0.  A field b enters as (w, z) = (b_x + i b_y, b_z).
 
+def _apply_initial(initial: AmplitudePair | None, propagator) -> np.ndarray:
+    """Amplitude rows (c1, c2) of U psi for the pairs U = ``propagator()``
+    and psi = ``initial``, or U itself, the state from |down>, for None.
+    ``initial`` must have unit norm within 1e-12, checked before
+    ``propagator`` runs."""
+    if initial is None:
+        return propagator()
+    if not abs(initial.norm - 1.0) <= 1e-12:
+        raise ValueError(f"initial must have unit norm within 1e-12, got {initial.norm!r}")
+    u = propagator()
+    return _mul(u, np.array([initial.c1, initial.c2], dtype=complex), np.empty_like(u))
+
+
 def _propagate(field, params: SystemParams, times, tol: float,
-               initial: AmplitudePair | None, carrier_edges: bool) -> np.ndarray:
-    """Amplitudes (c1, c2) at ``times`` of i y' = (b(t).sigma) y from
-    y(0) = ``initial`` (default |down>); ``field(t)`` returns (w, z) for an
-    array of times, each an array or a constant.  See the module docstring
-    for the segments and the step doubling.
+               carrier_edges: bool) -> np.ndarray:
+    """Pairs of the propagator U(t) at ``times`` of i y' = (b(t).sigma) y,
+    U(0) = 1; ``field(t)`` returns (w, z) for an array of times, each an
+    array or a constant.  See the module docstring for the segments and the
+    step doubling.
     """
     arr = _validate_times(times)
     check_real("tol", tol, ">", 0.0)
-    if initial is not None and not abs(initial.norm - 1.0) <= 1e-12:
-        raise ValueError(f"initial must have unit norm within 1e-12, got {initial.norm!r}")
     t_end = arr[-1]
     # rounding may put the last node a hair past t_end: a segment no sample reads
     edges = [[0.0], arr, np.arange(0.5, params.modulation * t_end / math.pi) * math.pi
@@ -334,21 +326,22 @@ def _propagate(field, params: SystemParams, times, tol: float,
     grid = np.unique(np.concatenate(edges))
     samples = np.searchsorted(grid, arr)
     q = np.empty((2, grid.size), dtype=complex)
-    # the state rides at the head of the chain as the pair (c1, c2)
-    q[:, 0] = (1.0, 0.0) if initial is None else (initial.c1, initial.c2)
+    q[:, 0] = (1.0, 0.0)  # the identity heads the chain
     previous, change, steps = None, math.inf, 1
     while steps <= _STEP_BUDGET:
         per_block = max(1, _BLOCK_STEPS // steps)
         for lo in range(0, grid.size - 1, per_block):
             q[:, lo + 1:lo + 1 + per_block] = _segment_propagators(
                 field, grid[lo:lo + per_block + 1], steps)
-        states = _running_products(q)[:, samples]
+        pairs = _running_products(q)[:, samples]
         if previous is not None:
-            # the largest 2-norm of a sample's change, which a rotation of
-            # the basis (the Hadamard between the z and x runs) keeps
-            last, change = change, float(np.max(np.linalg.norm(states - previous, axis=0)))
+            # the largest 2-norm of a sample's change of U|down>, which is
+            # the operator norm of the change of U, so the change of U psi
+            # for every unit psi, and which a rotation of the basis (the
+            # Hadamard between the z and x runs) keeps
+            last, change = change, float(np.max(np.linalg.norm(pairs - previous, axis=0)))
             if change <= 63.0 * tol:
-                return states
+                return pairs
             # a doubling cuts a sixth-order change 64-fold once the steps
             # resolve the field.  Stop when the change no longer halves
             # although it is below eps times the steps taken, a bound on the
@@ -360,7 +353,7 @@ def _propagate(field, params: SystemParams, times, tol: float,
                                        f"step doublings stall at a change of {change:.1e}")
             if steps * (change / (63.0 * tol)) ** (1.0 / 6.0) > _STEP_BUDGET:
                 break
-        previous, steps = states, 2 * steps
+        previous, steps = pairs, 2 * steps
     raise IntegrationError(f"tol {tol:g} is not reached within {_STEP_BUDGET} steps per segment")
 
 

@@ -118,6 +118,9 @@ def test_zeros_window_stays_in_the_bessel_domain():
         with pytest.raises(ValueError, match="ratio_max"):
             quasienergy_zeros(make_params(), 0.0, ratio_max)
     assert len(quasienergy_zeros(make_params(), 499.0, 500.0)) == 1
+    # and N <= MAX_ORDER, the rule of quasienergy
+    with pytest.raises(ValueError, match="order 201 outside <= 200"):
+        quasienergy_zeros(make_params(order=201), 0.0, 400.0)
 
 
 # ---------------------------------------------------------------------------

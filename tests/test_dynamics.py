@@ -1,5 +1,4 @@
 import cmath
-import inspect
 import math
 import time
 import tracemalloc
@@ -10,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from floquet_qubit import dynamics
 from floquet_qubit.dynamics import (
     AmplitudePair,
     IntegrationError,
@@ -18,9 +18,6 @@ from floquet_qubit.dynamics import (
     evolve_corrected,
     evolve_full,
     evolve_reduced,
-    integrate_corrected,
-    integrate_full,
-    integrate_reduced,
     rabi_frequency,
     xconfig_dynamics,
 )
@@ -135,16 +132,16 @@ def test_rabi_frequency_is_phase_derivative():
 
 def test_reduced_no_coupling_is_constant():
     p = make_params(gap_over_mod=0.0)
-    trace = integrate_reduced(p, np.linspace(0.0, 5 * p.period, 2001))
-    assert np.all(trace.p1 == 1.0)
+    c1 = evolve_reduced(p, np.linspace(0.0, 5 * p.period, 2001))[0]
+    assert np.all(np.abs(c1) ** 2 == 1.0)
 
 
 def test_reduced_matches_closed_form_at_resonance():
     p = make_params(order=1, ratio=0.1, gap_over_mod=40.0)
     times = np.linspace(0.0, 5 * p.period, 801)
-    trace = integrate_reduced(p, times, tol=1e-10)
+    p1 = np.abs(evolve_reduced(p, times, tol=1e-10)[0]) ** 2
     reference = analytic_populations(p, times)
-    assert np.max(np.abs(trace.p1 - reference.p1)) < 1e-6
+    assert np.max(np.abs(p1 - reference.p1)) < 1e-6
 
 
 def test_reduced_norm_conservation():
@@ -200,8 +197,8 @@ def test_reduced_supports_detuning():
                          delta_gap=p_res.delta_gap, amplitude=p_res.amplitude,
                          carrier=p_res.carrier, modulation=p_res.modulation, order=1)
     times = np.linspace(0.0, 40 * p_res.period, 2001)
-    deep = integrate_reduced(p_res, times).p2.max()
-    shallow = integrate_reduced(p_det, times).p2.max()
+    deep = np.max(np.abs(evolve_reduced(p_res, times)[1]) ** 2)
+    shallow = np.max(np.abs(evolve_reduced(p_det, times)[1]) ** 2)
     assert deep > 0.99
     assert shallow < deep - 0.05
 
@@ -221,9 +218,9 @@ def test_corrected_matches_full_oracle(order, ratio, delta_gap, modulation, detu
     p = make_params(order=order, ratio=ratio, gap_over_mod=delta_gap / modulation,
                     modulation=modulation, epsilon0=order + detuning)
     times = np.linspace(0.0, 3 * p.period, 301)
-    full = integrate_full(p, "z", times, tol=1e-8)
-    corrected = integrate_corrected(p, times, tol=1e-10)
-    assert np.max(np.abs(full.p1 - corrected.p1)) < 0.05
+    full = evolve_full(p, "z", times, tol=1e-8)
+    corrected = evolve_corrected(p, times, tol=1e-10)
+    assert np.max(np.abs(np.abs(full[0]) ** 2 - np.abs(corrected[0]) ** 2)) < 0.05
 
 
 def test_corrected_rejects_zero_bias():
@@ -237,27 +234,27 @@ def test_corrected_rejects_zero_bias():
 
 def test_full_trivial_constant():
     p = make_params(ratio=0.0, gap_over_mod=0.0)
-    trace = integrate_full(p, "z", np.linspace(0.0, 200.0, 2001))
-    assert np.max(np.abs(trace.p1 - 1.0)) < 1e-12
+    c1 = evolve_full(p, "z", np.linspace(0.0, 200.0, 2001))[0]
+    assert np.max(np.abs(np.abs(c1) ** 2 - 1.0)) < 1e-12
 
 
 def test_full_matches_expm_oracle_z():
     p = SystemParams(epsilon0=1.0, delta_gap=0.3, amplitude=0.5, carrier=1.0,
                      modulation=0.02, order=1)
     t_end = 50.0
-    trace = integrate_full(p, "z", np.array([0.0, t_end]), tol=1e-10)
+    amps = evolve_full(p, "z", np.array([0.0, t_end]), tol=1e-10)
     c1, c2 = expm_oracle(p, "z", t_end, steps=250_000)
-    assert trace.p1[-1] == pytest.approx(abs(c1) ** 2, abs=1e-6)
-    assert trace.p2[-1] == pytest.approx(abs(c2) ** 2, abs=1e-6)
+    assert abs(amps[0, -1]) ** 2 == pytest.approx(abs(c1) ** 2, abs=1e-6)
+    assert abs(amps[1, -1]) ** 2 == pytest.approx(abs(c2) ** 2, abs=1e-6)
 
 
 def test_full_matches_expm_oracle_x():
     p = SystemParams(epsilon0=0.0, delta_gap=1.0, amplitude=0.2, carrier=1.0,
                      modulation=0.02, order=1)
     t_end = 40.0
-    trace = integrate_full(p, "x", np.array([0.0, t_end]), tol=1e-10)
+    amps = evolve_full(p, "x", np.array([0.0, t_end]), tol=1e-10)
     c1, c2 = expm_oracle(p, "x", t_end, steps=200_000)
-    assert trace.p1[-1] == pytest.approx(abs(c1) ** 2, abs=1e-6)
+    assert abs(amps[0, -1]) ** 2 == pytest.approx(abs(c1) ** 2, abs=1e-6)
 
 
 def test_full_norm_conservation():
@@ -273,9 +270,9 @@ def test_full_agrees_with_reduced_even_order():
     # model tracks the exact dynamics to well inside the 0.05 budget
     p = make_params(order=2, ratio=1.0, gap_over_mod=1.0, modulation=1e-3)
     times = np.linspace(0.0, 10 * p.period, 401)
-    full = integrate_full(p, "z", times, tol=1e-8)
-    reduced = integrate_reduced(p, times, tol=1e-10)
-    assert np.max(np.abs(full.p1 - reduced.p1)) < 0.05
+    full = evolve_full(p, "z", times, tol=1e-8)
+    reduced = evolve_reduced(p, times, tol=1e-10)
+    assert np.max(np.abs(np.abs(full[0]) ** 2 - np.abs(reduced[0]) ** 2)) < 0.05
 
 
 def test_full_x_config_matches_rotating_frame_form():
@@ -287,40 +284,14 @@ def test_full_x_config_matches_rotating_frame_form():
     p = SystemParams(epsilon0=0.0, delta_gap=1.0, amplitude=amplitude, carrier=1.0,
                      modulation=delta, order=1)
     times = np.linspace(0.0, math.pi / delta, 401)
-    trace = integrate_full(p, "x", times, tol=1e-8)
+    c2 = evolve_full(p, "x", times, tol=1e-8)[1]
     expected = np.sin((v / delta) * np.sin(delta * times)) ** 2
-    assert np.max(np.abs(trace.p2 - expected)) < 0.05
-
-
-@pytest.mark.parametrize("integrate, evolve", [
-    (integrate_reduced, evolve_reduced),
-    (integrate_corrected, evolve_corrected),
-    (lambda p, times, tol: integrate_full(p, "z", times, tol),
-     lambda p, times, tol: evolve_full(p, "z", times, tol)),
-    (lambda p, times, tol: integrate_full(p, "x", times, tol),
-     lambda p, times, tol: evolve_full(p, "x", times, tol)),
-], ids=["reduced", "corrected", "full z", "full x"])
-def test_trace_is_the_populations_of_the_amplitudes(integrate, evolve):
-    p = make_params(order=1, ratio=0.3, gap_over_mod=2.0, modulation=0.05)
-    times = np.linspace(0.0, 2 * p.period, 41)
-    trace = integrate(p, times, 1e-9)
-    c1, c2 = evolve(p, times, 1e-9)
-    assert np.array_equal(trace.times, times)
-    assert np.array_equal(trace.p1, np.abs(c1) ** 2)
-    assert np.array_equal(trace.p2, np.abs(c2) ** 2)
-
-
-def test_traces_take_the_sample_times_like_the_amplitudes():
-    for integrate, evolve in ((integrate_reduced, evolve_reduced),
-                              (integrate_corrected, evolve_corrected),
-                              (integrate_full, evolve_full)):
-        assert (list(inspect.signature(integrate).parameters)
-                == list(inspect.signature(evolve).parameters))
+    assert np.max(np.abs(np.abs(c2) ** 2 - expected)) < 0.05
 
 
 def test_full_invalid_axis():
     with pytest.raises(ValueError):
-        integrate_full(make_params(), "y", [0.0, 1.0])
+        evolve_full(make_params(), "y", [0.0, 1.0])
 
 
 def _criterion_3_window():
@@ -362,9 +333,11 @@ def test_unreachable_tol_raises_quickly_and_small(window, evolve, reason):
     lambda p, times, initial: evolve_reduced(p, times, initial=initial),
     lambda p, times, initial: evolve_corrected(p, times, initial=initial),
     lambda p, times, initial: evolve_full(p, "x", times, initial=initial),
-    lambda p, times, initial: integrate_full(p, "z", times, initial=initial),
+    lambda p, times, initial: evolve_full(p, "z", times, initial=initial),
 ], ids=["reduced", "corrected", "full x", "full z trace"])
-def test_non_unit_initial_state_is_rejected(evolve):
+def test_non_unit_initial_state_is_rejected(evolve, monkeypatch):
+    # the check runs before anything is propagated
+    monkeypatch.setattr(dynamics, "_propagate", lambda *args, **kwargs: pytest.fail("propagated"))
     p = make_params(order=1, ratio=0.3, gap_over_mod=2.0, modulation=0.05)
     with pytest.raises(ValueError, match="initial"):
         evolve(p, [0.0, 10.0], AmplitudePair(c1=1.0, c2=1e-3))
@@ -433,6 +406,23 @@ def test_propagator_samples_are_independent_of_a_leading_zero(run, t1, t2):
         assert np.max(np.abs(evolve(np.array([t1, t2]), tol=1e-9) - tail)) <= 1e-12, name
         start = evolve(np.array([0.0]), initial=AmplitudePair(c1=0.36 + 0.48j, c2=-0.8j))
         assert np.array_equal(start, [[0.36 + 0.48j], [-0.8j]]), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(run=_short_runs(), theta=st.floats(0.0, math.pi / 2),
+       phases=st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)))
+def test_initial_state_is_applied_to_the_propagator(run, theta, phases):
+    # the run from |down> is the first column (alpha, beta) of U, so from
+    # psi = c1|down> + c2|up> the amplitudes are c1 U|down> + c2 U|up>, with
+    # U|up> = (-conj(beta), conj(alpha)), its second column
+    params, times = run
+    c1 = math.cos(theta) * cmath.exp(1j * phases[0])
+    c2 = math.sin(theta) * cmath.exp(1j * phases[1])
+    for name, evolve in _evolvers(params).items():
+        alpha, beta = evolve(times, tol=1e-9)
+        amps = evolve(times, tol=1e-9, initial=AmplitudePair(c1=c1, c2=c2))
+        expected = c1 * np.array([alpha, beta]) + c2 * np.array([-np.conj(beta), np.conj(alpha)])
+        assert np.max(np.abs(amps - expected)) <= 1e-15, name
 
 
 # ---------------------------------------------------------------------------
