@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 import warnings as _warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize, special
@@ -17,7 +16,6 @@ from .model import SystemParams, check_count, check_real
 from .specfun import MAX_ARGUMENT, MAX_ORDER, check_domain
 
 __all__ = [
-    "SpectralLine",
     "PeriodicityResult",
     "quasienergy_zeros",
     "periodicity_residual",
@@ -31,23 +29,6 @@ ZERO_SCAN_STEP = 0.02
 ZERO_REFINE_TOL = 1.0e-4
 PERIODICITY_RESIDUAL_TOL = 1.0e-3
 DEFAULT_WEIGHT_THRESHOLD = 1.0e-8
-
-
-class SpectralLine(NamedTuple):
-    """One probe transition line between the two quasienergy branches."""
-
-    m: int
-    n: int
-    frequency: float
-    weight: float
-
-    @property
-    def kind(self) -> str:
-        if self.frequency > 0:
-            return "absorption"
-        if self.frequency < 0:
-            return "amplification"
-        return "static"
 
 
 @dataclass(frozen=True)
@@ -156,13 +137,15 @@ def trace_periodicity_check(trace: PopulationTrace, period: float, reps: int = 1
 
 def spectral_lines(params: SystemParams,
                    weight_threshold: float = DEFAULT_WEIGHT_THRESHOLD,
-                   index_cutoff: int | None = None) -> list[SpectralLine]:
+                   index_cutoff: int | None = None) -> np.recarray:
     """Probe-transition catalog between the two quasienergy branches.
 
     Frequencies are eps0 + m omega_0 + 2 E_N + (2n - m) delta with weights
     2 |J_n(A/omega_0) J_{m-n}(A/omega_0)|; lines below ``weight_threshold``
-    are dropped.  Positive frequencies are absorption lines, negative ones
-    amplification.
+    are dropped.  Returns a record array with integer fields ``m``, ``n`` and
+    float fields ``frequency``, ``weight``, one row per line ordered by m,
+    then n.  A positive frequency is an absorption line, a negative one
+    amplification, and zero a static line.
     """
     check_real("weight_threshold", weight_threshold, ">=", 0.0)
     if index_cutoff is None:
@@ -180,8 +163,7 @@ def spectral_lines(params: SystemParams,
     keep = weight >= weight_threshold
     m, n, weight = m[keep], n[keep], weight[keep]
     freq = params.epsilon0 + m * params.carrier + stark + (2 * n - m) * params.modulation
-    return list(map(SpectralLine._make, zip(m.tolist(), n.tolist(), freq.tolist(),
-                                            weight.tolist())))
+    return np.rec.fromarrays((m, n, freq, weight), names=("m", "n", "frequency", "weight"))
 
 
 def xconfig_spectral_lines(omega0: float, delta_mod: float, n_range: int) -> list[float]:

@@ -269,7 +269,7 @@ def _run_periodicity(config: RunConfig) -> None:
 def _run_spectrum(config: RunConfig) -> None:
     lines = spectral_lines(config.params, weight_threshold=config.weight_threshold,
                            index_cutoff=config.index_cutoff)
-    _write_rows(config, ["m", "n", "frequency", "weight"], lines)
+    _write_rows(config, ["m", "n", "frequency", "weight"], lines.tolist())
     print(f"spectrum: wrote {len(lines)} lines to {config.out}")
 
 

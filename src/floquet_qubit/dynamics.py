@@ -459,7 +459,9 @@ def xconfig_dynamics(v: float, delta_mod: float, t: float) -> XConfigPoint:
     """
     if not 0 < abs(delta_mod) < math.inf:
         raise ValueError(f"delta_mod must be finite and nonzero, got {delta_mod!r}")
-    theta = (v / delta_mod) * math.sin(delta_mod * float(t))
+    check_real("v", v, ">", -math.inf)
+    tf = check_real("t", float(t), ">", -math.inf)
+    theta = (v / delta_mod) * math.sin(delta_mod * tf)
     return XConfigPoint(p_up=math.sin(theta) ** 2,
                         qes_plus=cmath.exp(1j * theta),
                         qes_minus=cmath.exp(-1j * theta))

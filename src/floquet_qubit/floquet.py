@@ -218,7 +218,8 @@ class FourierPhase:
         return (len(self.coefficients) - 1) // 2
 
     def coefficient(self, n: int) -> complex:
-        if abs(n) > self.n_max:
+        n = check_count("n", n, -self.n_max)
+        if n > self.n_max:
             raise ValueError(f"harmonic {n} outside |n| <= {self.n_max}")
         return complex(self.coefficients[n + self.n_max])
 
@@ -289,9 +290,10 @@ def qes_state(params: SystemParams, branch: str, t: float) -> QesState:
     """Quasienergetic state of the requested branch at time t (exact resonance)."""
     if branch not in ("plus", "minus"):
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
+    tf = check_real("t", float(t), ">", -math.inf)
     s = 1.0 if branch == "plus" else -1.0
     decomposition = build_phase_decomposition(params)
-    phi = decomposition.periodic_part(float(t))
+    phi = decomposition.periodic_part(tf)
     parity = 1.0 if params.order % 2 == 0 else -1.0
     phase = cmath.exp(1j * s * parity * phi)
     amplitude = phase / math.sqrt(2.0)
@@ -336,6 +338,7 @@ def _abs_cos_antiderivative(order: int, u: float) -> float:
 
 def weak_forms(params: SystemParams, t: float) -> WeakDriveForms:
     """Weak-drive (A/omega0 <~ 0.3) closed forms at time t."""
+    tf = check_real("t", float(t), ">", -math.inf)
     n = params.order
     r = params.drive_ratio
     # powers over factorials and Gamma functions go through logarithms, so
@@ -350,7 +353,7 @@ def weak_forms(params: SystemParams, t: float) -> WeakDriveForms:
     # Gamma((3+N)/2) = ((1+N)/2) Gamma((1+N)/2)
     mean_bracket = 2.0 * scale / (math.sqrt(math.pi) * (1 + n))
 
-    u = math.fmod(params.modulation * float(t), math.pi)
+    u = math.fmod(params.modulation * tf, math.pi)
     if u < 0.0:
         u += math.pi
     f_u = _abs_cos_antiderivative(n, u)
@@ -411,11 +414,12 @@ def alpha_phase(params: SystemParams, t: float, full: bool = False) -> float:
     (periodic) branch; for odd N it sweeps by ~pi across each envelope node,
     which the lowest-order form replaces by a smooth linear drift.
     """
+    tf = check_real("t", float(t), ">", -math.inf)
     n = params.order
-    base = params.detuning * float(t) - n * math.pi
+    base = params.detuning * tf - n * math.pi
     if not full:
         return base
-    gamma = 2.0 * params.modulation * float(t) + math.pi
+    gamma = 2.0 * params.modulation * tf + math.pi
     chi = math.atan2(params.z1 * math.sin(gamma),
                      params.z2 - params.z1 * math.cos(gamma))
-    return base + n * params.modulation * float(t) + n * chi
+    return base + n * params.modulation * tf + n * chi

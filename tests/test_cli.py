@@ -165,7 +165,7 @@ def test_periodicity_output_golden(tmp_path, capsys, fmt, expected):
 # the package's public names before each module's __all__ was re-exported whole
 _PUBLIC_NAMES = (
     "AmplitudePair FourierPhase IntegrationError PeriodicityResult PhaseDecomposition "
-    "PopulationTrace QesState RegimeReport SpectralLine SystemParams WeakDriveForms "
+    "PopulationTrace QesState RegimeReport SystemParams WeakDriveForms "
     "XConfigPoint analytic_populations build_phase_decomposition circuit_controls "
     "drive_field effective_bessel_argument evolve_corrected evolve_full "
     "evolve_reduced fourier_phase hamiltonian mean_bessel periodicity_residual "
@@ -176,7 +176,7 @@ _PUBLIC_NAMES = (
 
 
 def test_public_names_still_import():
-    assert len(_PUBLIC_NAMES) == 40
+    assert len(_PUBLIC_NAMES) == 39
     assert set(_PUBLIC_NAMES) <= set(floquet_qubit.__all__)
     for name in floquet_qubit.__all__:
         assert getattr(floquet_qubit, name) is not None
@@ -234,6 +234,16 @@ def test_spectrum_json_schema(tmp_path):
     assert isinstance(lines, list) and lines
     assert set(lines[0]) == {"m", "n", "frequency", "weight"}
     assert all(line["weight"] >= 0 for line in lines)
+
+
+@pytest.mark.parametrize("fmt, expected", [("csv", "m,n,frequency,weight\n"),
+                                           ("json", "[]\n")])
+def test_spectrum_empty_catalogue(tmp_path, capsys, fmt, expected):
+    out = tmp_path / f"spectrum.{fmt}"
+    assert main(["spectrum", "--weight-threshold", "3", "--out", str(out),
+                 "--format", fmt]) == 0
+    assert out.read_bytes() == expected.encode()
+    assert capsys.readouterr().out == f"spectrum: wrote 0 lines to {out}\n"
 
 
 def test_periodicity_command(tmp_path):

@@ -19,7 +19,7 @@ from floquet_qubit.dynamics import (
     evolve_reduced,
     xconfig_dynamics,
 )
-from floquet_qubit.floquet import fourier_phase, phase_gamma
+from floquet_qubit.floquet import alpha_phase, fourier_phase, phase_gamma, qes_state, weak_forms
 from floquet_qubit.model import (
     HADAMARD,
     SystemParams,
@@ -252,6 +252,13 @@ _ARGUMENTS = [
     ("analytic_populations", "times", lambda v: analytic_populations(make_params(), [v]), -1.0),
     ("evolve_full", "times", lambda v: evolve_full(make_params(), "z", [0.0, v]), -1.0),
     ("xconfig_dynamics", "delta_mod", lambda v: xconfig_dynamics(0.1, v, 1.0), 0.0),
+    ("xconfig_dynamics", "v", lambda v: xconfig_dynamics(v, 0.01, 1.0), None),
+    ("xconfig_dynamics", "t", lambda v: xconfig_dynamics(0.1, 0.01, v), None),
+    ("qes_state", "t", lambda v: qes_state(make_params(), "plus", v), None),
+    ("weak_forms", "t", lambda v: weak_forms(make_params(), v), None),
+    ("alpha_phase", "t", lambda v: alpha_phase(make_params(), v), None),
+    ("FourierPhase.coefficient", "n", lambda v: fourier_phase(make_params(), 4).coefficient(v),
+     1.5),
     ("bessel_j", "order", lambda v: bessel_j(v, 1.0), 1.5),
     ("PopulationTrace", "p1", lambda v: PopulationTrace(times=[0.0], p1=[v], p2=[v]), 1.5),
     ("PopulationTrace", "p2", lambda v: PopulationTrace(times=[0.0], p1=[1.0], p2=[v]), 0.5),
