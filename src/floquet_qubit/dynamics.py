@@ -25,31 +25,53 @@ propagation is unitary by construction.  The chain starts at the identity
 samples; their first column is the state from |down>, and an ``initial``
 state psi is applied once, as U psi.
 
-The window is cut into segments at every sample time, every node of
-cos(delta t) (the kink of the paper's |cos| envelope) and, for the full
-Hamiltonian, every carrier period.  Each segment takes the same number of
-equal steps, multiplied pairwise; the segments are then chained in time
-order.  The steps per segment double, from 1, until two successive runs
-differ by at most 63 tol at every sample, a sample's difference being the
-2-norm of the change of U|down>, which a change of basis keeps (the
-Hadamard between the z and x axes, so both runs stop at the same
-doubling).  The difference of two SU(2) matrices is a multiple of a
-unitary, so that 2-norm is the change of U psi for every unit psi, and the
-operator norm of the change of U.  Halving the step of a sixth-order
-method cuts its error 64-fold, so the change is 63 times the error of the
-finer run, and ``tol`` bounds the Richardson estimate of the global error
-of U at every sample, in the operator norm: the same bound holds for the
-amplitudes from every initial state.  Every equation starts at 1 step: when
-one step per segment does not resolve the field, that level costs one step
-per segment against 2S - 1 for the run that ends at S steps.  The steps
-are built in blocks, so memory does not grow with the window.
+A field that repeats after a period T is propagated over one period only:
+by Floquet's theorem U(nT + tau) = U(tau) U(T)^n (Shirley, Phys. Rev.
+138, B979 (1965)).  Each sample t is folded into tau = t - nT in (0, T],
+and U(T)^n is closed-form, (cos n theta + i s Im alpha, s beta) with
+cos theta = Re alpha, sin theta = |(Im alpha, beta)| and
+s = sin(n theta) / sin(theta), the Chebyshev U_{n-1}(cos theta).  The
+reduced equations repeat after pi/delta, the corrected ones after pi/delta
+for even N and 2 pi/delta for odd N (the signed envelope flips sign), and
+the full Hamiltonian, when omega_0 = q delta, after pi/delta for odd q and
+2 pi/delta for even q.  A full field with omega_0/delta no integer (such
+as criterion 8's random delta), or a window no longer than T, folds
+nothing: T is t_end and every n is 0.  Folded times within 4 eps t_end of
+each other (the rounding of the samples and of t - nT) share one grid
+point, and those that close to 0 or T are 0 or T, so a sample at a whole
+period adds no segment.
 
-Rounding sets the smallest reachable ``tol``, and it grows with the window
-(about 1e-13 over 10^4 carrier periods).  ``IntegrationError`` is raised
-once the change between doublings stops halving below the rounding bound
-(eps times the steps taken), once the 64-fold rate would need more than
-2^14 steps per segment to reach ``tol`` (steps * (change / (63 tol))^(1/6)),
-or past that budget.  ``initial`` states must have unit norm within 1e-12.
+The interval [0, T] is cut into segments at every folded sample, every
+node of cos(delta t) (the kink of the paper's |cos| envelope) and, for the
+full Hamiltonian, every carrier period.  Each segment takes the same number
+of equal steps, multiplied pairwise; the segments are then chained in time
+order, and each sample takes its power of U(T).  The steps per segment
+double, from 1, until two successive runs differ by at most 63 tol at every
+sample, a sample's difference being the 2-norm of the change of the
+composed U|down>, which a change of basis keeps (the Hadamard between the z
+and x axes, so both runs stop at the same doubling).  The difference of two
+SU(2) matrices is a multiple of a unitary, so that 2-norm is the change of
+U psi for every unit psi, and the operator norm of the change of U.
+Halving the step of a sixth-order method cuts its error 64-fold, so the
+change is 63 times the error of the finer run, and ``tol`` bounds the
+Richardson estimate of the global error of U at every sample, in the
+operator norm: the same bound holds for the amplitudes from every initial
+state.  Every equation starts at 1 step: when one step per segment does
+not resolve the field, that level costs one step per segment against
+2S - 1 for the run that ends at S steps.  The steps are built in blocks,
+so memory does not grow with the window.
+
+Rounding sets the smallest reachable ``tol``, and it grows with the steps
+behind a sample: over 10^4 carrier periods the change between doublings
+stalls at about 1e-11 on a chain over the whole window and 1.5e-13 on the
+folded chain of a criterion-3 window (2.5 periods).  ``IntegrationError``
+is raised once the change falls less than 8-fold in a doubling while below
+the rounding bound, eps times the steps behind the last sample (its n + 1
+periods of the chain): the 64-fold rate leaves at most 1/8 truncation in
+such a change, and the rounding in the rest does not shrink with finer
+steps.  It is also raised once the 64-fold rate would need more than 2^14
+steps per segment to reach ``tol`` (steps * (change / (63 tol))^(1/6)), or
+past that budget.  ``initial`` states must have unit norm within 1e-12.
 
 The population traces are |c1|^2 and |c2|^2 of the propagated amplitudes;
 ``PopulationTrace`` checks that they sum to 1.
@@ -59,6 +81,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +105,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1.0e-9
+_EPS = sys.float_info.epsilon
 _STEP_BUDGET = 2 ** 14  # steps per segment past which tol counts as unreachable
 _BLOCK_STEPS = 2 ** 14  # steps held in memory at once
 # Gauss-Legendre nodes about a step's midpoint, in steps
@@ -164,7 +188,12 @@ def analytic_populations(params: SystemParams, times) -> PopulationTrace:
 
 
 def rabi_frequency(params: SystemParams, t):
-    """Instantaneous population-oscillation rate (delta_gap/2) J_N(w(t))."""
+    """Instantaneous population-oscillation rate (delta_gap/2) J_N(w(t)),
+    for a time or an array of them, each finite."""
+    if np.ndim(t) == 0:
+        check_real("t", t, ">", -math.inf)
+    elif not np.all(np.isfinite(t)):
+        check_real("t", float(np.asarray(t)[~np.isfinite(t)][0]), ">", -math.inf)
     return 0.5 * params.delta_gap * bessel_j(params.order,
                                              effective_bessel_argument(params, t))
 
@@ -248,7 +277,10 @@ def _evolve_two_amplitude(params: SystemParams, times, tol: float,
         return chebyshev.chebval(c if signed else np.abs(c), series), -0.5 * detuning
 
     def propagator():
-        u = _propagate(field, params, times, tol, carrier_edges=False)
+        # the |cos| envelope repeats after pi/delta, the signed one after
+        # 2 pi/delta for odd N, where it flips sign
+        period = params.period * (2.0 if signed and params.order % 2 else 1.0)
+        u = _propagate(field, params, times, tol, period, carrier_edges=False)
         turn = np.exp(-0.5j * detuning * np.asarray(times, dtype=float))
         return u * np.array([turn, np.conj(turn)])
 
@@ -270,7 +302,11 @@ def evolve_full(params: SystemParams, axis: str, times, tol: float = DEFAULT_TOL
     It is propagated by the Magnus kernel of the module docstring, with step
     edges at every sample time, every node of cos(delta t) and every carrier
     period, so each segment spans at most one carrier period whatever the
-    sampling.  ``tol`` bounds the estimated global error of the amplitudes
+    sampling.  When omega_0 = q delta (within 4 eps) the field repeats after
+    pi/delta for odd q and 2 pi/delta for even q, and only that period is
+    propagated, the samples folded into it and composed with powers of its
+    propagator; any other ratio is propagated over the whole window.
+    ``tol`` bounds the estimated global error of the amplitudes
     at every sample, as a 2-norm, from every initial state;
     ``IntegrationError`` is raised when rounding or the budget of 2^14 steps
     per segment keeps it out of reach, which happens at larger ``tol`` the
@@ -283,8 +319,15 @@ def evolve_full(params: SystemParams, axis: str, times, tol: float = DEFAULT_TOL
         e = 0.5 * (params.epsilon0 + drive_field(params, t))
         return (-0.5 * params.delta_gap, e) if axis == "z" else (-e, 0.5 * params.delta_gap)
 
+    # for omega_0 = q delta, f(t + pi/delta) = (-1)^(q+1) f(t): the field
+    # repeats after pi/delta for odd q and 2 pi/delta for even q.  The
+    # remainders omega_0 - q delta and omega_0 - 2 m delta are exact
+    period = None
+    if abs(math.remainder(params.carrier, params.modulation)) <= 4.0 * _EPS * params.carrier:
+        even = abs(math.remainder(params.carrier, 2.0 * params.modulation)) < params.modulation / 2
+        period = params.period * (2.0 if even else 1.0)
     return _apply_initial(initial,
-                          lambda: _propagate(field, params, times, tol, carrier_edges=True))
+                          lambda: _propagate(field, params, times, tol, period, carrier_edges=True))
 
 
 # ---------------------------------------------------------------------------
@@ -307,33 +350,58 @@ def _apply_initial(initial: AmplitudePair | None, propagator) -> np.ndarray:
     return _mul(u, np.array([initial.c1, initial.c2], dtype=complex), np.empty_like(u))
 
 
-def _propagate(field, params: SystemParams, times, tol: float,
+def _propagate(field, params: SystemParams, times, tol: float, period: float | None,
                carrier_edges: bool) -> np.ndarray:
     """Pairs of the propagator U(t) at ``times`` of i y' = (b(t).sigma) y,
     U(0) = 1; ``field(t)`` returns (w, z) for an array of times, each an
-    array or a constant.  See the module docstring for the segments and the
-    step doubling.
+    array or a constant, and repeats after ``period`` (None if it does
+    not).  See the module docstring for the fold, the segments and the step
+    doubling.
     """
     arr = _validate_times(times)
     check_real("tol", tol, ">", 0.0)
     t_end = arr[-1]
-    # rounding may put the last node a hair past t_end: a segment no sample reads
-    edges = [[0.0], arr, np.arange(0.5, params.modulation * t_end / math.pi) * math.pi
-             / params.modulation]
+    # t = n T + tau with tau in (0, T]; no period, or a window within one,
+    # takes T = t_end and n = 0 everywhere
+    span = t_end if period is None else min(period, t_end)
+    n = np.maximum(np.ceil(arr / span) - 1.0, 0.0) if span > 0.0 else np.zeros(arr.size)
+    edges = [[0.0, span], arr - n * span,
+             np.arange(0.5, params.modulation * span / math.pi) * math.pi / params.modulation]
     if carrier_edges:
-        edges.append(np.arange(1.0, params.carrier * t_end / (2.0 * math.pi)) * 2.0 * math.pi
+        edges.append(np.arange(1.0, params.carrier * span / (2.0 * math.pi)) * 2.0 * math.pi
                      / params.carrier)
-    grid = np.unique(np.concatenate(edges))
-    samples = np.searchsorted(grid, arr)
+    # points within a few ulps of t_end (the rounding of the samples and of
+    # t - n T) share one grid point, and those next to 0 or T (or a node a
+    # hair past T) are 0 or T
+    merge = 4.0 * _EPS * t_end
+    points = np.clip(np.concatenate(edges), 0.0, span)
+    points[points <= merge] = 0.0
+    points[points >= span - merge] = span
+    order = np.argsort(points, kind="stable")  # merges the sorted runs of the points
+    ordered = points[order]
+    first = np.diff(ordered, prepend=-math.inf) > merge
+    grid = ordered[first]
+    index = np.empty(points.size, dtype=int)
+    index[order] = np.cumsum(first) - 1
+    samples = index[2:2 + arr.size]  # the folded samples follow 0 and T
+    # n does not decrease: the distinct n, and which of them each sample takes
+    start = np.diff(n, prepend=-1.0) != 0.0
+    periods, which = n[start].astype(int), np.cumsum(start) - 1
     q = np.empty((2, grid.size), dtype=complex)
     q[:, 0] = (1.0, 0.0)  # the identity heads the chain
+    # eps times the steps behind the last sample bounds its rounding: the
+    # power of U(T) multiplies the rounding of U(T) by n
+    rounding = _EPS * grid.size * (periods[-1] + 1)
     previous, change, steps = None, math.inf, 1
     while steps <= _STEP_BUDGET:
         per_block = max(1, _BLOCK_STEPS // steps)
         for lo in range(0, grid.size - 1, per_block):
             q[:, lo + 1:lo + 1 + per_block] = _segment_propagators(
                 field, grid[lo:lo + per_block + 1], steps)
-        pairs = _running_products(q)[:, samples]
+        u = _running_products(q)
+        # np.take gathers several times faster than fancy indexing
+        powers = np.take(_power(u[:, -1], periods), which, axis=1)
+        pairs = _mul(np.take(u, samples, axis=1), powers, np.empty_like(powers))
         if previous is not None:
             # the largest 2-norm of a sample's change of U|down>, which is
             # the operator norm of the change of U, so the change of U psi
@@ -343,18 +411,33 @@ def _propagate(field, params: SystemParams, times, tol: float,
             if change <= 63.0 * tol:
                 return pairs
             # a doubling cuts a sixth-order change 64-fold once the steps
-            # resolve the field.  Stop when the change no longer halves
-            # although it is below eps times the steps taken, a bound on the
-            # rounding (coarse steps that do not resolve the field can stall
-            # too, at changes of order one), or when the 64-fold rate cannot
-            # reach tol within the budget
-            if last / 2 < change < np.finfo(float).eps * steps * grid.size:
+            # resolve the field, so a change that falls less than 8-fold
+            # holds at most 1/8 truncation (last/64 < change/8): the rest is
+            # rounding, which finer steps do not remove.  Stop there if the
+            # change is below the rounding bound (coarse steps that do not
+            # resolve the field can stall too, at changes of order one), or
+            # when the 64-fold rate cannot reach tol within the budget
+            if last / 8 < change < rounding * steps:
                 raise IntegrationError(f"tol {tol:g} is below the rounding of this window: "
                                        f"step doublings stall at a change of {change:.1e}")
             if steps * (change / (63.0 * tol)) ** (1.0 / 6.0) > _STEP_BUDGET:
                 break
         previous, steps = pairs, 2 * steps
     raise IntegrationError(f"tol {tol:g} is not reached within {_STEP_BUDGET} steps per segment")
+
+
+def _power(u: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Pairs of U^n for one pair u = (alpha, beta) and integers n >= 0:
+    (cos n theta + i s Im alpha, s beta) with cos theta = Re alpha,
+    sin theta = |(Im alpha, beta)| and s = sin(n theta) / sin(theta), the
+    Chebyshev U_{n-1}(cos theta).  theta is taken by atan2, so the powers
+    are unitary even when u is off the unit sphere by rounding; at
+    sin theta = 0, u = +-1 and s multiplies zeros, so s = 0 there."""
+    alpha, beta = u
+    sin = math.hypot(alpha.imag, abs(beta))
+    angle = n * math.atan2(sin, alpha.real)
+    s = np.sin(angle) / sin if sin > 0.0 else np.zeros(angle.shape)
+    return np.array([np.cos(angle) + 1j * alpha.imag * s, beta * s])
 
 
 def _segment_propagators(field, edges: np.ndarray, steps: int) -> np.ndarray:

@@ -189,7 +189,7 @@ def hamiltonian(params: SystemParams, axis: str, t: float) -> np.ndarray:
     axis='x': the drive couples through the transition matrix element,
         H = -(delta_gap/2) sigma_z - (1/2)(eps0 + f(t)) sigma_x.
     """
-    e = params.epsilon0 + drive_field(params, float(t))
+    e = params.epsilon0 + drive_field(params, float(check_real("t", t, ">", -math.inf)))
     if axis == "z":
         return -0.5 * e * SIGMA_Z - 0.5 * params.delta_gap * SIGMA_X
     if axis == "x":

@@ -2,11 +2,13 @@ import cmath
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.linalg import expm
 
 from floquet_qubit import dynamics
@@ -22,10 +24,13 @@ from floquet_qubit.dynamics import (
     xconfig_dynamics,
 )
 from floquet_qubit.floquet import build_phase_decomposition, phase_gamma
-from floquet_qubit.dynamics import _magnus_exponent, _magnus_step, _mul, _segment_propagators
+from floquet_qubit.dynamics import (_magnus_exponent, _magnus_step, _mul, _power,
+                                    _segment_propagators)
 from floquet_qubit.model import HADAMARD, SIGMA_X, SIGMA_Y, SIGMA_Z, SystemParams, hamiltonian
 
 from oracles import central_difference
+
+EPS = np.finfo(float).eps
 
 
 def make_params(order=1, ratio=0.1, gap_over_mod=40.0, modulation=1e-3, carrier=1.0,
@@ -548,6 +553,156 @@ def test_zero_field_keeps_the_initial_amplitudes():
                  evolve_full(undriven, "x", times, initial=initial)):
         assert np.max(np.abs(amps[0] - initial.c1)) <= 1e-15
         assert np.max(np.abs(amps[1] - initial.c2)) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# stroboscopic fold: U(n T + tau) = U(tau) U(T)^n
+# ---------------------------------------------------------------------------
+
+def _su2(theta, direction):
+    """The pair of cos(theta) - i sin(theta) (u.sigma) for a unit u given by
+    its (Im alpha, beta) components."""
+    return np.array([math.cos(theta) + 1j * math.sin(theta) * direction[0],
+                     math.sin(theta) * direction[1]])
+
+
+@pytest.mark.parametrize("theta", [0.7, 1e-8, 3e-9, math.pi - 1e-8, math.pi - 3e-9])
+def test_power_is_the_repeated_product(theta):
+    direction = np.array([0.3, -0.5 + 0.2j]) / math.sqrt(0.38)
+    u = _su2(theta, direction).reshape(2, 1)
+    n = np.arange(10_001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        power = _power(u[:, 0], n)
+    product = np.array([[1.0], [0.0]], dtype=complex)
+    for k in n:
+        assert np.max(np.abs(power[:, k] - product[:, 0])) <= 4 * EPS * (k + 1), k
+        product = _mul(product, u, np.empty_like(product))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_power_of_plus_minus_one_is_exact(sign):
+    n = np.arange(10_001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        power = _power(np.array([sign, 0.0], dtype=complex), n)
+    assert np.array_equal(power, [sign ** n, np.zeros(n.size)])
+
+
+def _expm_chain(hamiltonian_at, times, steps):
+    """Amplitudes from the first basis state at ``times``: products of
+    scipy's expm of the fourth-order Magnus exponent (two Gauss-Legendre
+    nodes), ``steps`` equal steps between samples.  ``hamiltonian_at`` maps
+    an array of times to their 2x2 Hamiltonians on the (c1, c2) basis."""
+    edges = np.linspace(times[:-1], times[1:], steps + 1, axis=1)
+    h = (edges[:, 1:] - edges[:, :-1]).ravel()[:, None, None]
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1]).ravel()
+    a1 = -1j * hamiltonian_at(mid - h[:, 0, 0] * math.sqrt(3.0) / 6.0)
+    a2 = -1j * hamiltonian_at(mid + h[:, 0, 0] * math.sqrt(3.0) / 6.0)
+    exps = expm(0.5 * h * (a1 + a2) + (math.sqrt(3.0) / 12.0) * h ** 2 * (a2 @ a1 - a1 @ a2))
+    psi = np.array([1.0, 0.0], dtype=complex)
+    out = [psi]
+    for k, e in enumerate(exps, start=1):
+        psi = e @ psi
+        if k % steps == 0:
+            out.append(psi)
+    return np.array(out).T
+
+
+@pytest.mark.parametrize("modulation, periods", [(0.2, 5.4), (0.25, 3.3)],
+                         ids=["q odd", "q even"])
+def test_folded_full_matches_expm(modulation, periods):
+    p = SystemParams(epsilon0=1.0, delta_gap=0.3, amplitude=0.5, carrier=1.0,
+                     modulation=modulation, order=1)
+    period = p.period * (1.0 if round(p.carrier / p.modulation) % 2 else 2.0)
+    times = np.linspace(0.0, periods * period, 37)
+
+    def hamiltonian_at(t):  # model.hamiltonian is on (up, down); flip to (c1, c2)
+        return np.array([hamiltonian(p, "z", x)[::-1, ::-1] for x in t])
+
+    amps = evolve_full(p, "z", times, tol=1e-11)
+    assert np.max(np.abs(amps - _expm_chain(hamiltonian_at, times, 200))) <= 1e-9
+
+
+@pytest.mark.parametrize("order, periods", [(1, 3.4), (2, 5.7)])
+def test_folded_corrected_matches_expm(order, periods):
+    # i c' = k [[0, e^{-i alpha}], [e^{i alpha}, 0]] c with the signed
+    # envelope k = -(delta_gap/2) J_N(2 r cos(delta t)) and alpha = (detuning
+    # + delta_gap^2 / (2 epsilon0)) t - N pi; it repeats after 2 pi/delta
+    # for odd N and pi/delta for even N
+    p = SystemParams(epsilon0=float(order), delta_gap=0.1, amplitude=1.0, carrier=1.0,
+                     modulation=0.05, order=order)
+    detuning = p.detuning + p.delta_gap ** 2 / (2.0 * p.epsilon0)
+    times = np.linspace(0.0, periods * p.period * (2.0 if order % 2 else 1.0), 37)
+
+    def hamiltonian_at(t):
+        k = -0.5 * p.delta_gap * special.jv(order, 2.0 * p.drive_ratio * np.cos(p.modulation * t))
+        turn = np.exp(1j * (detuning * t - order * math.pi))
+        return np.moveaxis(np.array([[0.0 * k, k / turn], [k * turn, 0.0 * k]]), 2, 0)
+
+    amps = evolve_corrected(p, times, tol=1e-11)
+    assert np.max(np.abs(amps[1])) > 0.5  # the populations move
+    assert np.max(np.abs(amps - _expm_chain(hamiltonian_at, times, 40))) <= 1e-9
+
+
+def _recorded_grids(monkeypatch):
+    """Edges of every ``_segment_propagators`` call, by steps per segment."""
+    grids = {}
+
+    def record(field, edges, steps):
+        grids.setdefault(steps, []).append(edges)
+        return _segment_propagators(field, edges, steps)
+
+    monkeypatch.setattr(dynamics, "_segment_propagators", record)
+    return grids
+
+
+@pytest.mark.parametrize("evolve", [
+    lambda p, times: evolve_reduced(p, times, tol=1e-10),
+    lambda p, times: evolve_full(p, "z", times, tol=1e-8),
+], ids=["reduced", "full q odd"])
+def test_a_long_window_propagates_one_period(evolve, monkeypatch):
+    # both fields repeat after pi/delta: q = omega_0/delta = 5 is odd
+    p = make_params(order=1, ratio=0.5, gap_over_mod=2.0, modulation=0.2)
+    times = np.linspace(0.0, 40 * p.period, 2001)
+    grids = _recorded_grids(monkeypatch)
+    evolve(p, times)
+    for edges in grids.values():
+        edges = np.concatenate(edges)
+        assert edges.max() <= p.period
+        # 50 folded samples, the node of cos(delta t) and 2 carrier edges
+        assert np.unique(edges).size <= 54
+
+
+@pytest.mark.parametrize("evolve", [
+    lambda p, times: evolve_reduced(p, times, tol=1e-10),
+    lambda p, times: evolve_full(p, "z", times, tol=1e-8),
+], ids=["reduced", "full"])
+def test_samples_at_whole_periods_add_no_segment(evolve, monkeypatch):
+    p = make_params(order=1, ratio=0.5, gap_over_mod=2.0, modulation=0.2)  # q = 5
+    times = np.linspace(0.0, 3.0 * p.period, 31)  # T, 2 T and 3 T within rounding
+    whole = times[20]
+    dense = np.sort(np.concatenate((times, [np.nextafter(whole, 0.0),
+                                            np.nextafter(whole, math.inf)])))
+    counts = []
+    for run in (np.delete(times, [10, 20]), times, dense):
+        grids = _recorded_grids(monkeypatch)
+        amps = evolve(p, run)
+        counts.append({steps: sum(e.size - 1 for e in edges) for steps, edges in grids.items()})
+    assert counts[0] == counts[1] == counts[2]
+    assert np.max(np.abs(amps[:, 20:23] - amps[:, [21]])) <= 1e-15
+
+
+def test_zero_field_over_many_periods_is_the_identity():
+    still = make_params(ratio=0.0, gap_over_mod=0.0, modulation=0.05)
+    undriven = make_params(ratio=0.0, gap_over_mod=0.0, modulation=0.05, epsilon0=0.0)
+    times = np.linspace(0.0, 50 * 2.0 * still.period, 1001)  # 50 periods of every field
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        runs = (evolve_reduced(still, times), evolve_corrected(still, times),
+                evolve_full(undriven, "z", times), evolve_full(undriven, "x", times))
+    for amps in runs:
+        assert np.array_equal(amps, [np.ones(times.size), np.zeros(times.size)])
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from floquet_qubit.dynamics import (
     analytic_populations,
     evolve_full,
     evolve_reduced,
+    rabi_frequency,
     xconfig_dynamics,
 )
 from floquet_qubit.floquet import alpha_phase, fourier_phase, phase_gamma, qes_state, weak_forms
@@ -255,6 +256,10 @@ _ARGUMENTS = [
     ("xconfig_dynamics", "v", lambda v: xconfig_dynamics(v, 0.01, 1.0), None),
     ("xconfig_dynamics", "t", lambda v: xconfig_dynamics(0.1, 0.01, v), None),
     ("qes_state", "t", lambda v: qes_state(make_params(), "plus", v), None),
+    ("hamiltonian", "t", lambda v: hamiltonian(make_params(), "z", v), None),
+    ("rabi_frequency", "t", lambda v: rabi_frequency(make_params(), v), None),
+    ("rabi_frequency of an array", "t",
+     lambda v: rabi_frequency(make_params(), [0.0, v]), None),
     ("weak_forms", "t", lambda v: weak_forms(make_params(), v), None),
     ("alpha_phase", "t", lambda v: alpha_phase(make_params(), v), None),
     ("FourierPhase.coefficient", "n", lambda v: fourier_phase(make_params(), 4).coefficient(v),
