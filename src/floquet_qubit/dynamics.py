@@ -70,8 +70,10 @@ the rounding bound, eps times the steps behind the last sample (its n + 1
 periods of the chain): the 64-fold rate leaves at most 1/8 truncation in
 such a change, and the rounding in the rest does not shrink with finer
 steps.  It is also raised once the 64-fold rate would need more than 2^14
-steps per segment to reach ``tol`` (steps * (change / (63 tol))^(1/6)), or
-past that budget.  ``initial`` states must have unit norm within 1e-12.
+steps per segment to reach ``tol`` (steps * (change / (63 tol))^(1/6));
+a change that is not finite (an overflowed field) fails that test at the
+first doubling.  ``initial`` states must have unit norm within 1e-12,
+checked before anything is propagated.
 
 The population traces are |c1|^2 and |c2|^2 of the propagated amplitudes;
 ``PopulationTrace`` checks that they sum to 1.
@@ -189,11 +191,7 @@ def analytic_populations(params: SystemParams, times) -> PopulationTrace:
 
 def rabi_frequency(params: SystemParams, t):
     """Instantaneous population-oscillation rate (delta_gap/2) J_N(w(t)),
-    for a time or an array of them, each finite."""
-    if np.ndim(t) == 0:
-        check_real("t", t, ">", -math.inf)
-    elif not np.all(np.isfinite(t)):
-        check_real("t", float(np.asarray(t)[~np.isfinite(t)][0]), ">", -math.inf)
+    for a time or an array of them, each finite (``effective_bessel_argument``)."""
     return 0.5 * params.delta_gap * bessel_j(params.order,
                                              effective_bessel_argument(params, t))
 
@@ -266,7 +264,7 @@ def _evolve_two_amplitude(params: SystemParams, times, tol: float,
     field (w, z) = (b_x + i b_y, b_z) is (g exp(i detuning t), 0) with
     g = -(delta_gap/2) J_N(w) (-1)^N.  It is propagated in the frame
     rotating with R = exp(-i detuning t sigma_z / 2), where the field is
-    the real (g, -detuning/2), and its propagator is turned back by R at
+    the real (g, -detuning/2), and the amplitudes are turned back by R at
     the samples."""
     # g as a Chebyshev series in t = cos(delta t) or |cos(delta t)|, built once
     series = -0.5 * params.delta_gap * (-1.0) ** params.order * bessel_series(
@@ -276,15 +274,12 @@ def _evolve_two_amplitude(params: SystemParams, times, tol: float,
         c = np.cos(params.modulation * t)
         return chebyshev.chebval(c if signed else np.abs(c), series), -0.5 * detuning
 
-    def propagator():
-        # the |cos| envelope repeats after pi/delta, the signed one after
-        # 2 pi/delta for odd N, where it flips sign
-        period = params.period * (2.0 if signed and params.order % 2 else 1.0)
-        u = _propagate(field, params, times, tol, period, carrier_edges=False)
-        turn = np.exp(-0.5j * detuning * np.asarray(times, dtype=float))
-        return u * np.array([turn, np.conj(turn)])
-
-    return _apply_initial(initial, propagator)
+    # the |cos| envelope repeats after pi/delta, the signed one after
+    # 2 pi/delta for odd N, where it flips sign
+    period = params.period * (2.0 if signed and params.order % 2 else 1.0)
+    amps = _propagate(field, params, times, tol, period, carrier_edges=False, initial=initial)
+    turn = np.exp(-0.5j * detuning * np.asarray(times, dtype=float))
+    return amps * np.array([turn, np.conj(turn)])
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +321,7 @@ def evolve_full(params: SystemParams, axis: str, times, tol: float = DEFAULT_TOL
     if abs(math.remainder(params.carrier, params.modulation)) <= 4.0 * _EPS * params.carrier:
         even = abs(math.remainder(params.carrier, 2.0 * params.modulation)) < params.modulation / 2
         period = params.period * (2.0 if even else 1.0)
-    return _apply_initial(initial,
-                          lambda: _propagate(field, params, times, tol, period, carrier_edges=True))
+    return _propagate(field, params, times, tol, period, carrier_edges=True, initial=initial)
 
 
 # ---------------------------------------------------------------------------
@@ -337,29 +331,21 @@ def evolve_full(params: SystemParams, axis: str, times, tol: float = DEFAULT_TOL
 # first column (alpha, beta), its Cayley-Klein pair; arrays of them are complex
 # with the pair on axis 0.  A field b enters as (w, z) = (b_x + i b_y, b_z).
 
-def _apply_initial(initial: AmplitudePair | None, propagator) -> np.ndarray:
-    """Amplitude rows (c1, c2) of U psi for the pairs U = ``propagator()``
-    and psi = ``initial``, or U itself, the state from |down>, for None.
-    ``initial`` must have unit norm within 1e-12, checked before
-    ``propagator`` runs."""
-    if initial is None:
-        return propagator()
-    if not abs(initial.norm - 1.0) <= 1e-12:
-        raise ValueError(f"initial must have unit norm within 1e-12, got {initial.norm!r}")
-    u = propagator()
-    return _mul(u, np.array([initial.c1, initial.c2], dtype=complex), np.empty_like(u))
-
-
 def _propagate(field, params: SystemParams, times, tol: float, period: float | None,
-               carrier_edges: bool) -> np.ndarray:
-    """Pairs of the propagator U(t) at ``times`` of i y' = (b(t).sigma) y,
-    U(0) = 1; ``field(t)`` returns (w, z) for an array of times, each an
-    array or a constant, and repeats after ``period`` (None if it does
-    not).  See the module docstring for the fold, the segments and the step
-    doubling.
+               carrier_edges: bool, initial: AmplitudePair | None) -> np.ndarray:
+    """Amplitude rows (c1, c2) at ``times`` of i y' = (b(t).sigma) y: U(t) psi
+    for psi = ``initial``, which must have unit norm within 1e-12, or for
+    None the pairs of the propagator U(t) itself, U(0) = 1, whose first
+    column is the state from |down>.  ``times``, ``tol`` and ``initial``
+    are checked before anything is propagated.  ``field(t)`` returns (w, z)
+    for an array of times, each an array or a constant, and repeats after
+    ``period`` (None if it does not).  See the module docstring for the
+    fold, the segments and the step doubling.
     """
     arr = _validate_times(times)
     check_real("tol", tol, ">", 0.0)
+    if initial is not None and not abs(initial.norm - 1.0) <= 1e-12:
+        raise ValueError(f"initial must have unit norm within 1e-12, got {initial.norm!r}")
     t_end = arr[-1]
     # t = n T + tau with tau in (0, T]; no period, or a window within one,
     # takes T = t_end and n = 0 everywhere
@@ -384,16 +370,15 @@ def _propagate(field, params: SystemParams, times, tol: float, period: float | N
     index = np.empty(points.size, dtype=int)
     index[order] = np.cumsum(first) - 1
     samples = index[2:2 + arr.size]  # the folded samples follow 0 and T
-    # n does not decrease: the distinct n, and which of them each sample takes
-    start = np.diff(n, prepend=-1.0) != 0.0
-    periods, which = n[start].astype(int), np.cumsum(start) - 1
+    # the distinct n, and which of them each sample takes
+    periods, which = np.unique(n.astype(int), return_inverse=True)
     q = np.empty((2, grid.size), dtype=complex)
     q[:, 0] = (1.0, 0.0)  # the identity heads the chain
     # eps times the steps behind the last sample bounds its rounding: the
     # power of U(T) multiplies the rounding of U(T) by n
     rounding = _EPS * grid.size * (periods[-1] + 1)
     previous, change, steps = None, math.inf, 1
-    while steps <= _STEP_BUDGET:
+    while True:
         per_block = max(1, _BLOCK_STEPS // steps)
         for lo in range(0, grid.size - 1, per_block):
             q[:, lo + 1:lo + 1 + per_block] = _segment_propagators(
@@ -409,21 +394,23 @@ def _propagate(field, params: SystemParams, times, tol: float, period: float | N
             # Hadamard between the z and x runs) keeps
             last, change = change, float(np.max(np.linalg.norm(pairs - previous, axis=0)))
             if change <= 63.0 * tol:
-                return pairs
+                return pairs if initial is None else _mul(
+                    pairs, np.array([initial.c1, initial.c2], dtype=complex), np.empty_like(pairs))
             # a doubling cuts a sixth-order change 64-fold once the steps
             # resolve the field, so a change that falls less than 8-fold
             # holds at most 1/8 truncation (last/64 < change/8): the rest is
             # rounding, which finer steps do not remove.  Stop there if the
             # change is below the rounding bound (coarse steps that do not
             # resolve the field can stall too, at changes of order one), or
-            # when the 64-fold rate cannot reach tol within the budget
+            # when the 64-fold rate cannot reach tol within the budget, which
+            # a change that is not finite (an overflowed field) fails at once
             if last / 8 < change < rounding * steps:
                 raise IntegrationError(f"tol {tol:g} is below the rounding of this window: "
                                        f"step doublings stall at a change of {change:.1e}")
-            if steps * (change / (63.0 * tol)) ** (1.0 / 6.0) > _STEP_BUDGET:
-                break
+            if not steps * (change / (63.0 * tol)) ** (1.0 / 6.0) <= _STEP_BUDGET:
+                raise IntegrationError(f"tol {tol:g} is not reached within {_STEP_BUDGET} "
+                                       f"steps per segment")
         previous, steps = pairs, 2 * steps
-    raise IntegrationError(f"tol {tol:g} is not reached within {_STEP_BUDGET} steps per segment")
 
 
 def _power(u: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -543,7 +530,7 @@ def xconfig_dynamics(v: float, delta_mod: float, t: float) -> XConfigPoint:
     if not 0 < abs(delta_mod) < math.inf:
         raise ValueError(f"delta_mod must be finite and nonzero, got {delta_mod!r}")
     check_real("v", v, ">", -math.inf)
-    tf = check_real("t", float(t), ">", -math.inf)
+    tf = float(check_real("t", t, ">", -math.inf))
     theta = (v / delta_mod) * math.sin(delta_mod * tf)
     return XConfigPoint(p_up=math.sin(theta) ** 2,
                         qes_plus=cmath.exp(1j * theta),

@@ -48,7 +48,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def effective_bessel_argument(params: SystemParams, t):
-    """Effective Bessel argument w(t) = 2 (A/omega_0) |cos(delta t)|."""
+    """Effective Bessel argument w(t) = 2 (A/omega_0) |cos(delta t)|, for a
+    time or an array of them, each finite."""
+    if np.ndim(t) == 0:
+        check_real("t", t, ">", -math.inf)
+    elif not np.all(np.isfinite(t)):
+        check_real("t", float(np.asarray(t)[~np.isfinite(t)][0]), ">", -math.inf)
     return 2.0 * params.drive_ratio * np.abs(np.cos(params.modulation * np.asarray(t, dtype=float)))
 
 
@@ -193,7 +198,7 @@ def phase_gamma(params: SystemParams, t: float) -> tuple[float, PhaseDecompositi
     The value is the closed form of ``build_phase_decomposition``,
     slope * t + periodic_part(t), for t >= 0.
     """
-    tf = check_real("t", float(t), ">=", 0.0)
+    tf = float(check_real("t", t, ">=", 0.0))
     decomposition = build_phase_decomposition(params)
     return float(decomposition.gamma_at(tf)), decomposition
 
@@ -290,7 +295,7 @@ def qes_state(params: SystemParams, branch: str, t: float) -> QesState:
     """Quasienergetic state of the requested branch at time t (exact resonance)."""
     if branch not in ("plus", "minus"):
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    tf = check_real("t", float(t), ">", -math.inf)
+    tf = float(check_real("t", t, ">", -math.inf))
     s = 1.0 if branch == "plus" else -1.0
     decomposition = build_phase_decomposition(params)
     phi = decomposition.periodic_part(tf)
@@ -338,7 +343,7 @@ def _abs_cos_antiderivative(order: int, u: float) -> float:
 
 def weak_forms(params: SystemParams, t: float) -> WeakDriveForms:
     """Weak-drive (A/omega0 <~ 0.3) closed forms at time t."""
-    tf = check_real("t", float(t), ">", -math.inf)
+    tf = float(check_real("t", t, ">", -math.inf))
     n = params.order
     r = params.drive_ratio
     # powers over factorials and Gamma functions go through logarithms, so
@@ -353,12 +358,11 @@ def weak_forms(params: SystemParams, t: float) -> WeakDriveForms:
     # Gamma((3+N)/2) = ((1+N)/2) Gamma((1+N)/2)
     mean_bracket = 2.0 * scale / (math.sqrt(math.pi) * (1 + n))
 
-    u = math.fmod(params.modulation * tf, math.pi)
-    if u < 0.0:
-        u += math.pi
+    # phi_periodic is odd in t: it is taken at |t| and given the sign of t
+    u = math.fmod(params.modulation * abs(tf), math.pi)
     f_u = _abs_cos_antiderivative(n, u)
     f_pi = float(special.beta(0.5, 0.5 * (n + 1)))
-    phi_periodic = (0.5 * params.delta_gap / params.modulation) * scale * (
+    phi_periodic = (math.copysign(0.5, tf) * params.delta_gap / params.modulation) * scale * (
         f_u - f_pi * u / math.pi)
     return WeakDriveForms(mean_moment=mean_moment, mean_bracket=mean_bracket,
                           phi_periodic=phi_periodic)
@@ -414,7 +418,7 @@ def alpha_phase(params: SystemParams, t: float, full: bool = False) -> float:
     (periodic) branch; for odd N it sweeps by ~pi across each envelope node,
     which the lowest-order form replaces by a smooth linear drift.
     """
-    tf = check_real("t", float(t), ">", -math.inf)
+    tf = float(check_real("t", t, ">", -math.inf))
     n = params.order
     base = params.detuning * tf - n * math.pi
     if not full:

@@ -59,6 +59,16 @@ def test_parse_requires_explicit_format():
         parse_config("out = x\n", command="sweep")
 
 
+def test_parse_refuses_a_line_without_equals():
+    with pytest.raises(ConfigError, match="line 2: expected 'key = value', got 'carrier 1.0'"):
+        parse_config("format = csv\ncarrier 1.0\n", command="sweep")
+
+
+def test_parse_refuses_an_unknown_command():
+    with pytest.raises(ConfigError, match="unknown command 'plot'"):
+        parse_config(BASE_FILE, command="plot")
+
+
 def test_flags_override_file():
     config = parse_config(BASE_FILE, overrides={"amplitude": 0.7, "out": "real.csv"},
                           command="zeros")
@@ -202,6 +212,44 @@ def test_zeros_command_finds_first_zero(tmp_path):
     values = [float(line) for line in out.read_text().splitlines()]
     assert len(values) == 1
     assert values[0] == pytest.approx(math.pi, abs=1e-3)
+
+
+def test_zeros_command_writes_a_json_list(tmp_path):
+    out = tmp_path / "zeros.json"
+    code = main(["zeros", "--ratio-min", "2.8", "--ratio-max", "3.5",
+                 "--tol", "1e-6", "--out", str(out), "--format", "json"])
+    assert code == 0
+    values = json.loads(out.read_text())
+    assert isinstance(values, list) and len(values) == 1
+    assert out.read_text() == f"[{format_real(values[0])}]\n"
+    assert values[0] == pytest.approx(math.pi, abs=1e-3)
+
+
+def test_config_file_runs_as_its_flags(tmp_path):
+    from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+    config = tmp_path / "run.cfg"
+    config.write_text(BASE_FILE.replace("IGNORED", str(from_file)))
+    window = ["--t-end", "100", "--samples", "11"]
+    assert main(["dynamics", "--config", str(config)] + window) == 0
+    assert main(["dynamics", "--epsilon0", "1.0", "--delta-gap", "0.01", "--amplitude", "0.1",
+                 "--carrier", "1.0", "--modulation", "1e-3", "--order", "1",
+                 "--format", "csv", "--out", str(from_flags)] + window) == 0
+    assert from_file.read_bytes() == from_flags.read_bytes()
+    assert len(from_file.read_text().splitlines()) == 12
+
+
+def test_dynamics_reduced_method_matches_the_closed_form(tmp_path):
+    # at exact resonance the closed form solves the reduced equations
+    rows = {}
+    for method in ("analytic", "reduced"):
+        out = tmp_path / f"{method}.json"
+        assert main(["dynamics", "--method", method, "--t-end", "2000", "--samples", "21",
+                     "--out", str(out), "--format", "json"]) == 0
+        rows[method] = json.loads(out.read_text())
+    assert [row["t"] for row in rows["reduced"]] == [row["t"] for row in rows["analytic"]]
+    p1 = np.array([[row["p1"] for row in rows[method]] for method in rows])
+    assert np.min(p1) < 0.99  # the population moves
+    assert np.max(np.abs(p1[0] - p1[1])) < 1e-8
 
 
 def test_output_is_deterministic(tmp_path):

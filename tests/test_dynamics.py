@@ -299,6 +299,11 @@ def test_full_invalid_axis():
         evolve_full(make_params(), "y", [0.0, 1.0])
 
 
+def test_full_refuses_no_sample_times():
+    with pytest.raises(ValueError, match="non-empty"):
+        evolve_full(make_params(), "z", [])
+
+
 def _criterion_3_window():
     """About 10^4 carrier periods with 2001 samples, as in criterion 3."""
     p = make_params(order=1, ratio=0.1, gap_over_mod=40.0, modulation=2.5e-4)
@@ -309,13 +314,15 @@ def _criterion_3_window():
     ("short", lambda p, times: evolve_full(p, "z", times, tol=1e-17), "below the rounding"),
     ("long", lambda p, times: evolve_full(p, "z", times, tol=1e-17), "below the rounding"),
     ("long", lambda p, times: evolve_reduced(p, times, tol=1e-17), "below the rounding"),
-], ids=["short full", "long full", "long reduced"])
+    ("short", lambda p, times: evolve_full(p, "z", times, tol=1e-40), "not reached within"),
+], ids=["short full", "long full", "long reduced", "short full past the budget"])
 def test_unreachable_tol_raises_quickly_and_small(window, evolve, reason):
     # 63 * 1e-17 is below the rounding of the propagation.  The step doubling
     # must give up long before its budget of 2^14 steps per segment, which on
     # the long window would take minutes: the sixth-order rate brings every
     # run to the rounding within the budget, where the change between
-    # doublings stalls
+    # doublings stalls.  For 1e-40 the rate predicts the budget's overrun at
+    # the first doubling
     if window == "short":
         p = make_params(order=1, ratio=0.5, gap_over_mod=2.0, modulation=0.045)
         times = np.linspace(0.0, 600.0, 5)  # ~100 carrier periods
@@ -342,7 +349,8 @@ def test_unreachable_tol_raises_quickly_and_small(window, evolve, reason):
 ], ids=["reduced", "corrected", "full x", "full z trace"])
 def test_non_unit_initial_state_is_rejected(evolve, monkeypatch):
     # the check runs before anything is propagated
-    monkeypatch.setattr(dynamics, "_propagate", lambda *args, **kwargs: pytest.fail("propagated"))
+    monkeypatch.setattr(dynamics, "_segment_propagators",
+                        lambda *args, **kwargs: pytest.fail("propagated"))
     p = make_params(order=1, ratio=0.3, gap_over_mod=2.0, modulation=0.05)
     with pytest.raises(ValueError, match="initial"):
         evolve(p, [0.0, 10.0], AmplitudePair(c1=1.0, c2=1e-3))
@@ -693,6 +701,18 @@ def test_samples_at_whole_periods_add_no_segment(evolve, monkeypatch):
     assert np.max(np.abs(amps[:, 20:23] - amps[:, [21]])) <= 1e-15
 
 
+def test_an_overflowed_field_stops_at_the_first_doubling(monkeypatch):
+    # the field overflows, so the change between the first two runs is NaN,
+    # which no prediction of the steps needed for tol passes
+    p = make_params(ratio=1e300)
+    grids = _recorded_grids(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(IntegrationError, match="not reached within"):
+            evolve_full(p, "z", np.linspace(0.0, 20 * 2.0 * math.pi, 5))
+    assert len(grids) <= 2
+
+
 def test_zero_field_over_many_periods_is_the_identity():
     still = make_params(ratio=0.0, gap_over_mod=0.0, modulation=0.05)
     undriven = make_params(ratio=0.0, gap_over_mod=0.0, modulation=0.05, epsilon0=0.0)
@@ -743,6 +763,11 @@ def test_xconfig_rejects_zero_modulation():
 def test_trace_validates_population_sum():
     with pytest.raises(ValueError):
         PopulationTrace(times=[0.0, 1.0], p1=[1.0, 0.8], p2=[0.0, 0.1])
+
+
+def test_trace_validates_equal_lengths():
+    with pytest.raises(ValueError, match="equal length"):
+        PopulationTrace(times=[0.0, 1.0], p1=[1.0], p2=[0.0])
 
 
 def test_trace_validates_monotonic_times():

@@ -399,6 +399,14 @@ def test_fourier_rejects_bad_harmonic_count():
         fourier_phase(make_params(), 0)
 
 
+def test_fourier_coefficient_refuses_a_harmonic_past_the_table():
+    table = fourier_phase(make_params(), 4)
+    with pytest.raises(ValueError, match="harmonic 5 outside"):
+        table.coefficient(5)
+    with pytest.raises(ValueError, match="n must be an integer >= -4"):
+        table.coefficient(-5)
+
+
 # ---------------------------------------------------------------------------
 # quasienergetic states
 # ---------------------------------------------------------------------------
@@ -479,6 +487,19 @@ def test_weak_phi_matches_phase_table():
         phi_exact = dec.periodic_part(t)
         scale = max(np.max(np.abs(phi_exact)), 1e-300)
         assert np.max(np.abs(phi_weak - phi_exact)) < 0.01 * scale
+
+
+def test_weak_phi_is_odd_in_time():
+    for order in (1, 2, 5):
+        p = make_params(order=order, ratio=0.05, gap_over_mod=1.0)
+        dec = build_phase_decomposition(p)
+        t = np.linspace(0.05, 2.0, 9) * p.period
+        plus = np.array([weak_forms(p, float(s)).phi_periodic for s in t])
+        minus = np.array([weak_forms(p, -float(s)).phi_periodic for s in t])
+        assert np.all(np.abs(minus + plus) <= 1e-15 * np.abs(plus))
+        # and it is the phase table's, read at negative times
+        exact = dec.periodic_part(-t)
+        assert np.max(np.abs(minus - exact)) < 0.01 * np.max(np.abs(exact))
 
 
 def test_weak_mean_converges_to_quadrature():

@@ -20,7 +20,15 @@ from floquet_qubit.dynamics import (
     rabi_frequency,
     xconfig_dynamics,
 )
-from floquet_qubit.floquet import alpha_phase, fourier_phase, phase_gamma, qes_state, weak_forms
+from floquet_qubit.floquet import (
+    alpha_phase,
+    effective_bessel_argument,
+    fourier_phase,
+    phase_gamma,
+    qes_state,
+    tunneling_amplitude,
+    weak_forms,
+)
 from floquet_qubit.model import (
     HADAMARD,
     SystemParams,
@@ -204,6 +212,16 @@ def test_validate_regime_fast_modulation_warns():
     assert any("modulation" in w for w in report.warnings)
 
 
+def test_validate_regime_strong_tunneling_warns():
+    report = validate_regime(make_params(delta_gap=0.2))
+    assert any("delta_gap/epsilon0" in w for w in report.warnings)
+
+
+def test_validate_regime_zero_splitting_warns():
+    report = validate_regime(make_params(epsilon0=0.0))
+    assert report.warnings == ("epsilon0 is zero; resonance-order ratios are undefined",)
+
+
 def test_circuit_controls():
     bx, _ = circuit_controls(1.0, 1.0, flux_ratio=0.5, gate_charge=0.0)
     assert abs(bx) < 1e-15
@@ -218,6 +236,7 @@ def test_circuit_controls():
 # values with a ValueError that names the argument
 # ---------------------------------------------------------------------------
 
+_HUGE = 10 ** 400  # an integer past the float range
 _TRACE = PopulationTrace(times=np.linspace(0.0, 10.0, 11), p1=np.ones(11), p2=np.zeros(11))
 
 # (entry point, argument, call of the value, one out-of-range value or None
@@ -260,6 +279,13 @@ _ARGUMENTS = [
     ("rabi_frequency", "t", lambda v: rabi_frequency(make_params(), v), None),
     ("rabi_frequency of an array", "t",
      lambda v: rabi_frequency(make_params(), [0.0, v]), None),
+    ("tunneling_amplitude", "t", lambda v: tunneling_amplitude(make_params(), v), None),
+    ("tunneling_amplitude of an array", "t",
+     lambda v: tunneling_amplitude(make_params(), [0.0, v]), None),
+    ("effective_bessel_argument", "t",
+     lambda v: effective_bessel_argument(make_params(), v), None),
+    ("effective_bessel_argument of an array", "t",
+     lambda v: effective_bessel_argument(make_params(), [0.0, v]), None),
     ("weak_forms", "t", lambda v: weak_forms(make_params(), v), None),
     ("alpha_phase", "t", lambda v: alpha_phase(make_params(), v), None),
     ("FourierPhase.coefficient", "n", lambda v: fourier_phase(make_params(), 4).coefficient(v),
@@ -267,11 +293,20 @@ _ARGUMENTS = [
     ("bessel_j", "order", lambda v: bessel_j(v, 1.0), 1.5),
     ("PopulationTrace", "p1", lambda v: PopulationTrace(times=[0.0], p1=[v], p2=[v]), 1.5),
     ("PopulationTrace", "p2", lambda v: PopulationTrace(times=[0.0], p1=[1.0], p2=[v]), 0.5),
+    # a time is checked before it is converted to a float
+    ("phase_gamma past the float range", "t", lambda v: phase_gamma(make_params(), v), _HUGE),
+    ("qes_state past the float range", "t",
+     lambda v: qes_state(make_params(), "plus", v), _HUGE),
+    ("weak_forms past the float range", "t", lambda v: weak_forms(make_params(), v), _HUGE),
+    ("alpha_phase past the float range", "t", lambda v: alpha_phase(make_params(), v), _HUGE),
+    ("xconfig_dynamics past the float range", "t",
+     lambda v: xconfig_dynamics(0.1, 0.01, v), _HUGE),
 ]
 
 
 @pytest.mark.parametrize("call, name, value", [
-    pytest.param(call, name, value, id=f"{entry}-{name}={value}")
+    pytest.param(call, name, value,
+                 id=f"{entry}-{name}={'10**400' if value is _HUGE else value}")
     for entry, name, call, bad in _ARGUMENTS
     for value in (math.nan, math.inf, -math.inf, bad) if value is not None
 ])
