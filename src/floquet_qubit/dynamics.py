@@ -39,7 +39,8 @@ as criterion 8's random delta), or a window no longer than T, folds
 nothing: T is t_end and every n is 0.  Folded times within 4 eps t_end of
 each other (the rounding of the samples and of t - nT) share one grid
 point, and those that close to 0 or T are 0 or T, so a sample at a whole
-period adds no segment.
+period adds no segment.  A window with 4 eps t_end >= T, where that
+rounding spans the period, raises ``IntegrationError``.
 
 The interval [0, T] is cut into segments at every folded sample, every
 node of cos(delta t) (the kink of the paper's |cos| envelope) and, for the
@@ -90,7 +91,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .floquet import build_phase_decomposition, effective_bessel_argument
-from .model import DETUNING_RATIO_WARN, SystemParams, check_real, drive_field
+from .model import DETUNING_RATIO_WARN, SystemParams, check_real, check_times, drive_field
 from .specfun import bessel_j, bessel_series
 
 __all__ = [
@@ -162,12 +163,9 @@ class XConfigPoint:
 
 
 def _validate_times(times) -> np.ndarray:
-    arr = np.asarray(times, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
+    arr = check_times("times", times, ">=", 0.0)
+    if np.ndim(arr) != 1 or arr.size < 1:
         raise ValueError("times must be a non-empty 1-d array")
-    if not (arr[0] >= 0 and math.isfinite(arr[-1])):
-        raise ValueError("times must be finite and >= 0")
-    # a NaN between finite ends fails the increase
     if arr.size > 1 and not np.all(np.diff(arr) > 0):
         raise ValueError("times must be strictly increasing")
     return arr
@@ -191,7 +189,10 @@ def analytic_populations(params: SystemParams, times) -> PopulationTrace:
 
 def rabi_frequency(params: SystemParams, t):
     """Instantaneous population-oscillation rate (delta_gap/2) J_N(w(t)),
-    for a time or an array of them, each finite (``effective_bessel_argument``)."""
+    the time derivative of ``PhaseDecomposition.gamma_at``, for a time or an
+    array of them, each finite (``effective_bessel_argument``).  The signed
+    tunnelling amplitude of the reduced equations is (-1)^(N+1) times it
+    (``_evolve_two_amplitude``)."""
     return 0.5 * params.delta_gap * bessel_j(params.order,
                                              effective_bessel_argument(params, t))
 
@@ -262,10 +263,10 @@ def _evolve_two_amplitude(params: SystemParams, times, tol: float,
     w = 2 r cos(delta t) (``signed``) or 2 r |cos(delta t)| and
     alpha = detuning * t - N pi; as a generator b.sigma on (c1, c2), the
     field (w, z) = (b_x + i b_y, b_z) is (g exp(i detuning t), 0) with
-    g = -(delta_gap/2) J_N(w) (-1)^N.  It is propagated in the frame
-    rotating with R = exp(-i detuning t sigma_z / 2), where the field is
-    the real (g, -detuning/2), and the amplitudes are turned back by R at
-    the samples."""
+    g = (-1)^(N+1) (delta_gap/2) J_N(w), the signed tunnelling amplitude.
+    It is propagated in the frame rotating with R = exp(-i detuning t
+    sigma_z / 2), where the field is the real (g, -detuning/2), and the
+    amplitudes are turned back by R at the samples."""
     # g as a Chebyshev series in t = cos(delta t) or |cos(delta t)|, built once
     series = -0.5 * params.delta_gap * (-1.0) ** params.order * bessel_series(
         params.order, params.drive_ratio)
@@ -350,28 +351,28 @@ def _propagate(field, params: SystemParams, times, tol: float, period: float | N
     # t = n T + tau with tau in (0, T]; no period, or a window within one,
     # takes T = t_end and n = 0 everywhere
     span = t_end if period is None else min(period, t_end)
+    # points within a few ulps of t_end (the rounding of the samples and of
+    # t - n T) share one grid point, and those next to 0 or T (or a node a
+    # hair past T) are 0 or T
+    merge = 4.0 * _EPS * t_end
+    if 0.0 < span <= merge:
+        raise IntegrationError(f"window t_end = {t_end:g} is too long to fold: the rounding of "
+                               f"its times, {merge:.1e}, reaches the period {span:.6g}")
     n = np.maximum(np.ceil(arr / span) - 1.0, 0.0) if span > 0.0 else np.zeros(arr.size)
     edges = [[0.0, span], arr - n * span,
              np.arange(0.5, params.modulation * span / math.pi) * math.pi / params.modulation]
     if carrier_edges:
         edges.append(np.arange(1.0, params.carrier * span / (2.0 * math.pi)) * 2.0 * math.pi
                      / params.carrier)
-    # points within a few ulps of t_end (the rounding of the samples and of
-    # t - n T) share one grid point, and those next to 0 or T (or a node a
-    # hair past T) are 0 or T
-    merge = 4.0 * _EPS * t_end
     points = np.clip(np.concatenate(edges), 0.0, span)
     points[points <= merge] = 0.0
     points[points >= span - merge] = span
-    order = np.argsort(points, kind="stable")  # merges the sorted runs of the points
-    ordered = points[order]
-    first = np.diff(ordered, prepend=-math.inf) > merge
-    grid = ordered[first]
-    index = np.empty(points.size, dtype=int)
-    index[order] = np.cumsum(first) - 1
-    samples = index[2:2 + arr.size]  # the folded samples follow 0 and T
+    ordered = np.sort(points)
+    grid = ordered[np.diff(ordered, prepend=-math.inf) > merge]
+    # the folded samples follow 0 and T; each takes the grid point that heads its run
+    samples = np.searchsorted(grid, points[2:2 + arr.size] + merge, side="right") - 1
     # the distinct n, and which of them each sample takes
-    periods, which = np.unique(n.astype(int), return_inverse=True)
+    periods, which = np.unique(n, return_inverse=True)
     q = np.empty((2, grid.size), dtype=complex)
     q[:, 0] = (1.0, 0.0)  # the identity heads the chain
     # eps times the steps behind the last sample bounds its rounding: the

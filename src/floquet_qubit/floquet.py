@@ -1,10 +1,14 @@
 """Resonance-approximation core.
 
-Effective Bessel coupling envelope, its period average, quasienergies, the
-"linear + periodic" decomposition of the accumulated phase, its Fourier
-representation, quasienergetic states, and weak-drive closed forms.  A small
-set of Bessel-summation helpers used only to validate the reduction lives at
-the bottom.
+Each resonance quantity has one owner here: the effective Bessel argument
+w(t) of the coupling envelope (the envelope (delta_gap/2) J_N(w(t)) itself
+is ``dynamics.rabi_frequency``), its period average ``mean_bessel``, the
+quasienergy E_N of the pair (+E_N, -E_N) (``quasienergy``), the
+accumulated phase gamma_N(t) (``PhaseDecomposition.gamma_at``) with its
+"linear + periodic" decomposition, its Fourier representation,
+quasienergetic states, and weak-drive closed forms.  A small set of
+Bessel-summation helpers used only to validate the reduction lives at the
+bottom.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .model import SystemParams, check_count, check_real
+from .model import SystemParams, check_count, check_real, check_times
 from .specfun import bessel_j, bessel_products, check_domain
 
 __all__ = [
@@ -27,12 +31,9 @@ __all__ = [
     "QesState",
     "WeakDriveForms",
     "effective_bessel_argument",
-    "tunneling_amplitude",
     "mean_bessel",
     "quasienergy",
-    "quasienergy_pair",
     "build_phase_decomposition",
-    "phase_gamma",
     "fourier_phase",
     "reconstruct_periodic_phase",
     "qes_state",
@@ -49,20 +50,8 @@ __all__ = [
 
 def effective_bessel_argument(params: SystemParams, t):
     """Effective Bessel argument w(t) = 2 (A/omega_0) |cos(delta t)|, for a
-    time or an array of them, each finite."""
-    if np.ndim(t) == 0:
-        check_real("t", t, ">", -math.inf)
-    elif not np.all(np.isfinite(t)):
-        check_real("t", float(np.asarray(t)[~np.isfinite(t)][0]), ">", -math.inf)
-    return 2.0 * params.drive_ratio * np.abs(np.cos(params.modulation * np.asarray(t, dtype=float)))
-
-
-def tunneling_amplitude(params: SystemParams, t):
-    """Resonant tunneling amplitude (-1)^(N+1) (delta_gap/2) J_N(w(t))."""
-    n = params.order
-    sign = -1.0 if n % 2 == 0 else 1.0
-    w = effective_bessel_argument(params, t)
-    return sign * 0.5 * params.delta_gap * bessel_j(n, w)
+    time or an array of them, each finite (``model.check_times``)."""
+    return 2.0 * params.drive_ratio * np.abs(np.cos(params.modulation * check_times("t", t)))
 
 
 def _half_period_mean(order: int, j: np.ndarray) -> np.ndarray:
@@ -96,15 +85,10 @@ def mean_bessel(params: SystemParams) -> float:
 
 
 def quasienergy(params: SystemParams) -> float:
-    """Quasienergy E_N = (-1)^N (delta_gap/2) * mean_bessel."""
+    """Quasienergy E_N = (-1)^N (delta_gap/2) * mean_bessel; the pair is
+    (+E_N, -E_N)."""
     sign = 1.0 if params.order % 2 == 0 else -1.0
     return sign * 0.5 * params.delta_gap * mean_bessel(params)
-
-
-def quasienergy_pair(params: SystemParams) -> tuple[float, float]:
-    """The quasienergy pair (E+, E-) = (+E_N, -E_N); the sum is zero by construction."""
-    e = quasienergy(params)
-    return e, -e
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +100,7 @@ class PhaseDecomposition:
     """Split of the accumulated phase into slope * t plus a periodic remainder.
 
     ``slope`` is (delta_gap/2) J_{N/2}(r)^2 (the period average, as in
-    ``mean_bessel``), ``quasienergy`` is (-1)^N * slope and ``periodic_part``
+    ``mean_bessel``; the quasienergy is (-1)^N slope) and ``periodic_part``
     evaluates the periodic remainder in closed form (see
     ``build_phase_decomposition``): zero at t = 0, at every half period and
     at every full period pi/delta, and odd about each of them.  A float
@@ -125,12 +109,14 @@ class PhaseDecomposition:
     """
 
     slope: float
-    quasienergy: float
     periodic_part: Callable[[np.ndarray], np.ndarray]
 
     def gamma_at(self, t):
-        """Accumulated phase slope * t + periodic_part(t) (vectorised)."""
-        return self.slope * np.asarray(t, dtype=float) + self.periodic_part(t)
+        """Accumulated phase gamma_N(t) = (delta_gap/2) int_0^t J_N(w(tau)) dtau
+        as slope * t + periodic_part(t), for a time t >= 0 or an array of
+        them, each finite (``model.check_times``); no quadrature."""
+        t = check_times("t", t, ">=", 0.0)
+        return self.slope * t + self.periodic_part(t)
 
 
 @lru_cache(maxsize=64)
@@ -153,9 +139,8 @@ def build_phase_decomposition(params: SystemParams) -> PhaseDecomposition:
     M is G(0) summed from the same integer-order products: for r <= 11 it
     is within 2.5e-16 of mpmath, where the half-order ``jv`` of
     ``mean_bessel`` is off by up to 3.2e-15, an error that t multiplies.
-    ``slope`` and ``quasienergy`` here are therefore the more accurate of
-    the two; they differ from ``quasienergy(params)`` by up to about 4e-14
-    relative.
+    ``slope`` here is therefore the more accurate of the two; (-1)^N slope
+    differs from ``quasienergy(params)`` by up to about 4e-14 relative.
     Terms with |J_k J_{N-k}| below rounding of the largest product are
     dropped.  The result is cached per parameter set, so a scalar
     ``periodic_part`` call (``qes_state``) costs one short sine series
@@ -186,21 +171,7 @@ def build_phase_decomposition(params: SystemParams) -> PhaseDecomposition:
         u = np.mod(delta * np.asarray(t, dtype=float) + 0.5 * math.pi, math.pi) - 0.5 * math.pi
         return scale * (np.sin(np.multiply.outer(u, freq)) @ weight - drift * u)
 
-    slope = 0.5 * params.delta_gap * mean
-    sign = 1.0 if order % 2 == 0 else -1.0
-    return PhaseDecomposition(slope=slope, quasienergy=sign * slope, periodic_part=periodic_part)
-
-
-def phase_gamma(params: SystemParams, t: float) -> tuple[float, PhaseDecomposition]:
-    """Accumulated phase gamma_N(t) = (delta_gap/2) int_0^t J_N(w(tau)) dtau,
-    plus its decomposition.
-
-    The value is the closed form of ``build_phase_decomposition``,
-    slope * t + periodic_part(t), for t >= 0.
-    """
-    tf = float(check_real("t", t, ">=", 0.0))
-    decomposition = build_phase_decomposition(params)
-    return float(decomposition.gamma_at(tf)), decomposition
+    return PhaseDecomposition(slope=0.5 * params.delta_gap * mean, periodic_part=periodic_part)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +273,7 @@ def qes_state(params: SystemParams, branch: str, t: float) -> QesState:
     parity = 1.0 if params.order % 2 == 0 else -1.0
     phase = cmath.exp(1j * s * parity * phi)
     amplitude = phase / math.sqrt(2.0)
-    return QesState(branch=branch, quasienergy=s * decomposition.quasienergy,
+    return QesState(branch=branch, quasienergy=s * parity * decomposition.slope,
                     c_down=amplitude, c_up=s * amplitude)
 
 

@@ -63,6 +63,25 @@ def check_real(name: str, value, op: str, bound: float):
     return value
 
 
+def check_times(name: str, t, op: str = ">", bound: float = -math.inf):
+    """``t`` as a float, or as a float array, if each of its values passes
+    ``check_real(name, value, op, bound)``; otherwise that ``ValueError``
+    for a value that fails.  By default the rule is finiteness alone."""
+    if np.ndim(t) == 0:
+        return float(check_real(name, t, op, bound))
+    try:
+        arr = np.asarray(t, dtype=float)
+    except OverflowError:  # an integer that no float holds: check_real names it
+        for value in np.ravel(np.asarray(t, dtype=object)):
+            check_real(name, value, op, bound)
+        raise
+    if arr.size:
+        # NaN propagates to both; any other value that fails is one of them
+        for value in (arr.min(), arr.max()):
+            check_real(name, float(value), op, bound)
+    return arr
+
+
 def check_count(name: str, value, least: int) -> int:
     """``int(value)`` if ``value`` is a finite integral number >= ``least``;
     otherwise ``ValueError`` naming ``name``."""

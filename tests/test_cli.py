@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,21 +173,23 @@ def test_periodicity_output_golden(tmp_path, capsys, fmt, expected):
     assert capsys.readouterr().out == f"periodicity: wrote 2 candidates to {out}\n"
 
 
-# the package's public names before each module's __all__ was re-exported whole
+# the package's public names before each module's __all__ was re-exported
+# whole, less tunneling_amplitude, quasienergy_pair and phase_gamma, which
+# restated rabi_frequency, quasienergy and PhaseDecomposition.gamma_at
 _PUBLIC_NAMES = (
     "AmplitudePair FourierPhase IntegrationError PeriodicityResult PhaseDecomposition "
     "PopulationTrace QesState RegimeReport SystemParams WeakDriveForms "
     "XConfigPoint analytic_populations build_phase_decomposition circuit_controls "
     "drive_field effective_bessel_argument evolve_corrected evolve_full "
     "evolve_reduced fourier_phase hamiltonian mean_bessel periodicity_residual "
-    "phase_gamma phase_phi qes_state quasienergy quasienergy_pair quasienergy_zeros "
+    "phase_phi qes_state quasienergy quasienergy_zeros "
     "rabi_frequency reconstruct_periodic_phase solve_periodic_ratio spectral_lines "
-    "trace_periodicity_check tunneling_amplitude validate_regime weak_forms "
+    "trace_periodicity_check validate_regime weak_forms "
     "xconfig_dynamics xconfig_spectral_lines").split()
 
 
 def test_public_names_still_import():
-    assert len(_PUBLIC_NAMES) == 39
+    assert len(_PUBLIC_NAMES) == 36
     assert set(_PUBLIC_NAMES) <= set(floquet_qubit.__all__)
     for name in floquet_qubit.__all__:
         assert getattr(floquet_qubit, name) is not None
@@ -364,6 +367,18 @@ def test_cli_rejects_unbounded_windows(tmp_path, capsys, argv, key):
     assert main(argv + ["--out", str(out), "--format", "csv"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_dynamics_past_the_fold_fails_cleanly(tmp_path, capsys):
+    # 4 eps t_end reaches the period pi/delta: every sample would fold onto 0
+    out = tmp_path / "d.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["dynamics", "--method", "reduced", "--modulation", "2.5e-4", "--t-end",
+                     "1e300", "--samples", "2", "--out", str(out), "--format", "csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "too long to fold" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -23,12 +23,13 @@ from floquet_qubit.dynamics import (
     rabi_frequency,
     xconfig_dynamics,
 )
-from floquet_qubit.floquet import build_phase_decomposition, phase_gamma
+from floquet_qubit.floquet import build_phase_decomposition, quasienergy
 from floquet_qubit.dynamics import (_magnus_exponent, _magnus_step, _mul, _power,
                                     _segment_propagators)
 from floquet_qubit.model import HADAMARD, SIGMA_X, SIGMA_Y, SIGMA_Z, SystemParams, hamiltonian
+from floquet_qubit.specfun import bessel_products
 
-from oracles import central_difference
+from oracles import central_difference, half_order_bessel_zeros
 
 EPS = np.finfo(float).eps
 
@@ -120,15 +121,58 @@ def test_first_order_oscillates_faster_than_second():
 def test_rabi_frequency_trivials():
     p = make_params(order=1)
     assert abs(rabi_frequency(p, p.period / 2)) < 1e-12
-    assert rabi_frequency(make_params(ratio=0.0), 3.21) == 0.0
+    zero = make_params(ratio=0.0)
+    assert rabi_frequency(zero, 3.21) == 0.0
+    assert np.array_equal(rabi_frequency(zero, np.array([0.0, 1.0, 500.0])), np.zeros(3))
+
+
+def test_rabi_frequency_weak_drive_envelope():
+    # the squared rate at weak drive follows the cos^2 envelope of the
+    # modulation to better than a percent
+    p = make_params(order=1, ratio=0.1)
+    t = np.linspace(0.0, p.period, 401)
+    squared = rabi_frequency(p, t) ** 2
+    envelope = np.cos(p.modulation * t) ** 2
+    assert np.max(np.abs(squared / squared.max() - envelope)) < 0.01
 
 
 def test_rabi_frequency_is_phase_derivative():
     p = make_params(order=1, ratio=0.8, gap_over_mod=20.0)
+    gamma_at = build_phase_decomposition(p).gamma_at
     h = 1e-4 * p.period
     for t in (0.1 * p.period, 0.27 * p.period, 1.4 * p.period):
-        fd = central_difference(lambda s: phase_gamma(p, s)[0], t, h)
+        fd = central_difference(gamma_at, t, h)
         assert fd == pytest.approx(rabi_frequency(p, t), rel=1e-6)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_resonance_vanishes_at_half_order_bessel_zeros(order):
+    # r on the first zero z of J_{N/2}: the double z is within eps z of the
+    # zero and |J'_{N/2}| <= 1 there, so |J_{N/2}(r)| <= z eps, and the
+    # half-order jv adds at most 3.2e-15 (r <= 11): E_N = +-(Delta/2) J^2
+    z = half_order_bessel_zeros(order, 11.0)[0]
+    p = make_params(order=order, ratio=z)
+    assert p.drive_ratio == z
+    half = 0.5 * p.delta_gap
+    assert abs(quasienergy(p)) <= half * (z * EPS + 3.2e-15) ** 2
+    # slope = (Delta/2) G(0), G(0) = sum_k s(2k - N) J_k J_{N-k} over m
+    # products: the terms sum to at most 2/pi in magnitude (|s| <= 2/pi and,
+    # by Cauchy-Schwarz with sum J_k^2 = 1, sum |J_k J_{N-k}| <= 1), so the
+    # dot product rounds by at most (2/pi) m eps, and the factors' own
+    # rounding takes less than the rest of m eps
+    dec = build_phase_decomposition(p)
+    m = bessel_products(order, z)[0].size
+    assert abs(dec.slope) <= half * (m * EPS + (z * EPS) ** 2)
+    # at t = k T the periodic part is (Delta / (2 delta)) h(w), w = delta t
+    # reduced modulo pi, which rounding leaves within 2 (k + 1) pi eps of 0;
+    # |h'| = |J_N - J_{N/2}(r)^2| <= 2, so |gamma(k T)| <= slope k T +
+    # (Delta / (2 delta)) 4 (k + 1) pi eps, and P1 = cos^2(gamma) closes to 1
+    k = np.arange(11.0)
+    times = k * p.period
+    bound = abs(dec.slope) * times + half / p.modulation * 4.0 * (k + 1.0) * math.pi * EPS
+    assert np.all(np.abs(dec.gamma_at(times)) <= bound)
+    trace = analytic_populations(p, times)
+    assert np.all(1.0 - trace.p1 <= bound ** 2 + EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +757,21 @@ def test_an_overflowed_field_stops_at_the_first_doubling(monkeypatch):
     assert len(grids) <= 2
 
 
+@pytest.mark.parametrize("t_end", [3e19, 1e300])
+def test_a_window_past_the_fold_is_refused(t_end, monkeypatch):
+    # 4 eps t_end >= T: the rounding of the times spans the period, so every
+    # folded sample would land on 0 and the identity would come back
+    p = make_params(ratio=0.5, modulation=2.5e-4)  # omega_0 = 4000 delta
+    assert 4.0 * EPS * t_end >= p.period
+    grids = _recorded_grids(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for evolve in (evolve_reduced, evolve_corrected, lambda q, t: evolve_full(q, "z", t)):
+            with pytest.raises(IntegrationError, match="too long to fold"):
+                evolve(p, [0.0, t_end])
+    assert not grids
+
+
 def test_zero_field_over_many_periods_is_the_identity():
     still = make_params(ratio=0.0, gap_over_mod=0.0, modulation=0.05)
     undriven = make_params(ratio=0.0, gap_over_mod=0.0, modulation=0.05, epsilon0=0.0)
@@ -778,7 +837,7 @@ def test_trace_validates_monotonic_times():
 @pytest.mark.parametrize("times, reason", [
     ([math.nan], "finite"),
     ([0.0, math.inf], "finite"),
-    ([0.0, math.nan, 2.0], "increasing"),
+    ([0.0, math.nan, 2.0], "finite and >= 0, got nan"),
     ([1.0, 0.5], "increasing"),
 ], ids=["nan", "inf", "nan between", "decreasing"])
 def test_trace_takes_the_sample_time_rule(times, reason):

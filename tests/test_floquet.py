@@ -15,12 +15,9 @@ from floquet_qubit.floquet import (
     graf_bessel_sum,
     graf_closed_form,
     mean_bessel,
-    phase_gamma,
     qes_state,
     quasienergy,
-    quasienergy_pair,
     reconstruct_periodic_phase,
-    tunneling_amplitude,
     weak_forms,
 )
 from floquet_qubit.floquet import _abs_cos_antiderivative
@@ -40,29 +37,6 @@ def make_params(order=1, ratio=0.1, gap_over_mod=40.0, modulation=1e-3, carrier=
 # ---------------------------------------------------------------------------
 # coupling envelope and its period average
 # ---------------------------------------------------------------------------
-
-def test_tunneling_amplitude_vanishes_at_envelope_node():
-    p = make_params(order=1)
-    t_node = p.period / 2.0
-    assert abs(tunneling_amplitude(p, t_node)) < 1e-12
-
-
-def test_tunneling_amplitude_zero_drive():
-    p = make_params(ratio=0.0)
-    for t in (0.0, 1.0, 500.0):
-        assert tunneling_amplitude(p, t) == 0.0
-    assert np.array_equal(tunneling_amplitude(p, np.array([0.0, 1.0, 500.0])), np.zeros(3))
-
-
-def test_tunneling_amplitude_weak_drive_envelope():
-    # the squared amplitude at weak drive follows the cos^2 envelope of the
-    # modulation to better than a percent
-    p = make_params(order=1, ratio=0.1)
-    t = np.linspace(0.0, p.period, 401)
-    squared = tunneling_amplitude(p, t) ** 2
-    envelope = np.cos(p.modulation * t) ** 2
-    assert np.max(np.abs(squared / squared.max() - envelope)) < 0.01
-
 
 def test_mean_bessel_zero_drive():
     assert mean_bessel(make_params(ratio=0.0)) == 0.0
@@ -133,17 +107,10 @@ def test_period_average_rejects_inputs_past_the_bessel_domain():
     # 2 A/omega_0 <= 1e3
     for p, message in ((make_params(order=201), "order 201"),
                        (make_params(ratio=600.0), "Bessel argument")):
-        for call in (mean_bessel, quasienergy, quasienergy_pair):
+        for call in (mean_bessel, quasienergy):
             with pytest.raises(ValueError, match=message):
                 call(p)
     assert mean_bessel(make_params(order=200, ratio=500.0)) >= 0.0
-
-
-def test_quasienergy_pair_sums_to_zero():
-    p = make_params(order=2, ratio=0.8)
-    plus, minus = quasienergy_pair(p)
-    assert plus + minus == 0.0
-    assert plus == quasienergy(p)
 
 
 def test_quasienergy_sign_law():
@@ -158,24 +125,19 @@ def test_quasienergy_sign_law():
 # phase function and decomposition
 # ---------------------------------------------------------------------------
 
-def test_phase_gamma_at_origin():
-    gamma, _ = phase_gamma(make_params(), 0.0)
-    assert gamma == 0.0
+def test_gamma_at_origin():
+    assert build_phase_decomposition(make_params()).gamma_at(0.0) == 0.0
 
 
-def test_phase_gamma_closes_at_full_period():
+def test_gamma_closes_at_full_period():
     p = make_params(order=1, ratio=0.5, gap_over_mod=30.0)
-    gamma, decomposition = phase_gamma(p, p.period)
+    decomposition = build_phase_decomposition(p)
+    gamma = decomposition.gamma_at(p.period)
     assert gamma == pytest.approx(decomposition.slope * p.period, rel=1e-10)
     assert abs(decomposition.periodic_part(p.period)) < 1e-12
 
 
-def test_phase_gamma_rejects_negative_time():
-    with pytest.raises(ValueError):
-        phase_gamma(make_params(), -1.0)
-
-
-def test_phase_gamma_staircase_shape():
+def test_gamma_staircase_shape():
     # strong first-order drive: monotone growth with flat steps at the
     # envelope nodes
     p = make_params(order=1, ratio=1.0, gap_over_mod=12.0)
@@ -203,9 +165,7 @@ def test_decomposition_consistency_against_quadrature():
         dec = build_phase_decomposition(p)
         for _ in range(8):
             t = float(rng.uniform(0.0, 10 * p.period))
-            gamma, _ = phase_gamma(p, t)
-            assert gamma == dec.gamma_at(t)
-            assert abs(gamma - quad_gamma(p, t)) < 1e-8
+            assert abs(dec.gamma_at(t) - quad_gamma(p, t)) < 1e-8
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,11 +184,10 @@ def test_accumulated_phase_matches_quadrature(order, ratio, cycles):
     dec = build_phase_decomposition(p)
     assert abs(dec.gamma_at(t) - reference) < 1e-13
     assert abs(dec.gamma_at(np.array([t]))[0] - reference) < 1e-13
-    assert abs(phase_gamma(p, t)[0] - reference) < 1e-13
 
 
 @pytest.mark.parametrize("order, amplitude", [(1, 3.0), (1, 7.7), (5, 10.0)])
-def test_phase_gamma_past_the_envelope_node(order, amplitude):
+def test_gamma_past_the_envelope_node(order, amplitude):
     # at t = 2.5 pi / delta the remainder of a period lands a rounding hair
     # past the envelope node T/2; an adaptive quadrature with its break point
     # there failed to converge (error estimates 2.2e-8, 1.5 and 75)
@@ -236,16 +195,15 @@ def test_phase_gamma_past_the_envelope_node(order, amplitude):
                      modulation=2e-3, order=order)
     dec = build_phase_decomposition(p)
     t_node = 2.5 * math.pi / p.modulation
-    gamma, _ = phase_gamma(p, t_node)
-    assert math.isfinite(gamma) and gamma == dec.gamma_at(t_node)
+    gamma = dec.gamma_at(t_node)
+    assert math.isfinite(gamma)
     reference = accumulated_phase_quad(order, p.drive_ratio, p.modulation * t_node)
     assert abs(gamma * 2.0 * p.modulation / p.delta_gap - reference) < 1e-13
     grid = np.linspace(0.0, 5 * p.period, 2001)
     on_grid = dec.gamma_at(grid)
     for t, gamma_t in zip(grid, on_grid):
-        gamma, _ = phase_gamma(p, float(t))
-        assert math.isfinite(gamma) and gamma == dec.gamma_at(float(t))
-        assert abs(gamma - gamma_t) < 1e-13
+        gamma = dec.gamma_at(float(t))
+        assert math.isfinite(gamma) and abs(gamma - gamma_t) < 1e-13
 
 
 def test_periodic_part_is_periodic():
@@ -276,8 +234,6 @@ def test_phase_rejects_inputs_past_the_bessel_domain():
     for p in (make_params(ratio=500.5), make_params(order=201)):
         with pytest.raises(ValueError):
             build_phase_decomposition(p)
-        with pytest.raises(ValueError):
-            phase_gamma(p, 1.0)
     assert build_phase_decomposition(make_params(order=200, ratio=500.0)).slope >= 0.0
 
 
@@ -436,6 +392,18 @@ def test_qes_norm_and_energies():
         assert minus.norm == pytest.approx(1.0, abs=1e-12)
         assert plus.quasienergy + minus.quasienergy == 0.0
         assert minus.c_up == pytest.approx(-minus.c_down, abs=1e-12)
+
+
+def test_qes_quasienergy_is_the_signed_slope():
+    # +-(-1)^N slope to the bit; the slope's G(0) and the half-order jv of
+    # quasienergy differ by up to about 4e-14 relative
+    for order in (1, 2, 3):
+        p = make_params(order=order, ratio=1.3)
+        slope = build_phase_decomposition(p).slope
+        for branch, s in (("plus", 1.0), ("minus", -1.0)):
+            energy = qes_state(p, branch, 1.0).quasienergy
+            assert energy == s * (-1.0) ** order * slope
+            assert energy == pytest.approx(s * quasienergy(p), rel=1e-13)
 
 
 def test_qes_invalid_branch():

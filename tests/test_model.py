@@ -22,11 +22,10 @@ from floquet_qubit.dynamics import (
 )
 from floquet_qubit.floquet import (
     alpha_phase,
+    build_phase_decomposition,
     effective_bessel_argument,
     fourier_phase,
-    phase_gamma,
     qes_state,
-    tunneling_amplitude,
     weak_forms,
 )
 from floquet_qubit.model import (
@@ -34,6 +33,7 @@ from floquet_qubit.model import (
     SystemParams,
     check_count,
     check_real,
+    check_times,
     circuit_controls,
     drive_field,
     hamiltonian,
@@ -249,7 +249,9 @@ _ARGUMENTS = [
     ("SystemParams", "carrier", lambda v: make_params(carrier=v), 0.0),
     ("SystemParams", "modulation", lambda v: make_params(modulation=v), 2.0),
     ("fourier_phase", "n_max", lambda v: fourier_phase(make_params(), v), 0),
-    ("phase_gamma", "t", lambda v: phase_gamma(make_params(), v), -1.0),
+    ("gamma_at", "t", lambda v: build_phase_decomposition(make_params()).gamma_at(v), -1.0),
+    ("gamma_at of an array", "t",
+     lambda v: build_phase_decomposition(make_params()).gamma_at([0.0, v]), -1.0),
     ("periodicity_residual", "m", lambda v: periodicity_residual(make_params(), v, 1), 0),
     ("periodicity_residual", "n", lambda v: periodicity_residual(make_params(), 1, v), 0),
     ("solve_periodic_ratio", "m", lambda v: solve_periodic_ratio(make_params(), v, 1), 0),
@@ -279,9 +281,6 @@ _ARGUMENTS = [
     ("rabi_frequency", "t", lambda v: rabi_frequency(make_params(), v), None),
     ("rabi_frequency of an array", "t",
      lambda v: rabi_frequency(make_params(), [0.0, v]), None),
-    ("tunneling_amplitude", "t", lambda v: tunneling_amplitude(make_params(), v), None),
-    ("tunneling_amplitude of an array", "t",
-     lambda v: tunneling_amplitude(make_params(), [0.0, v]), None),
     ("effective_bessel_argument", "t",
      lambda v: effective_bessel_argument(make_params(), v), None),
     ("effective_bessel_argument of an array", "t",
@@ -294,7 +293,18 @@ _ARGUMENTS = [
     ("PopulationTrace", "p1", lambda v: PopulationTrace(times=[0.0], p1=[v], p2=[v]), 1.5),
     ("PopulationTrace", "p2", lambda v: PopulationTrace(times=[0.0], p1=[1.0], p2=[v]), 0.5),
     # a time is checked before it is converted to a float
-    ("phase_gamma past the float range", "t", lambda v: phase_gamma(make_params(), v), _HUGE),
+    ("gamma_at past the float range", "t",
+     lambda v: build_phase_decomposition(make_params()).gamma_at(v), _HUGE),
+    ("gamma_at of an array past the float range", "t",
+     lambda v: build_phase_decomposition(make_params()).gamma_at([0.0, v]), _HUGE),
+    ("effective_bessel_argument of an array past the float range", "t",
+     lambda v: effective_bessel_argument(make_params(), [0.0, v]), _HUGE),
+    ("rabi_frequency of an array past the float range", "t",
+     lambda v: rabi_frequency(make_params(), [0.0, v]), _HUGE),
+    ("evolve_reduced past the float range", "times",
+     lambda v: evolve_reduced(make_params(), [0.0, v]), _HUGE),
+    ("analytic_populations past the float range", "times",
+     lambda v: analytic_populations(make_params(), [0.0, v]), _HUGE),
     ("qes_state past the float range", "t",
      lambda v: qes_state(make_params(), "plus", v), _HUGE),
     ("weak_forms past the float range", "t", lambda v: weak_forms(make_params(), v), _HUGE),
@@ -329,3 +339,18 @@ def test_checks_return_the_checked_value():
         check_real("x", 10 ** 400, ">", 0.0)
     with pytest.raises(ValueError, match="n must be an integer >= 1, got inf"):
         check_count("n", math.inf, 1)
+
+
+def test_check_times_returns_floats_and_names_a_failure():
+    t = check_times("t", 3)
+    assert t == 3.0 and type(t) is float
+    arr = check_times("t", [0, 1.5], ">=", 0.0)
+    assert arr.dtype == float and arr.tolist() == [0.0, 1.5]
+    assert check_times("t", []).size == 0
+    with pytest.raises(ValueError, match="t must be finite and >= 0, got -1.0"):
+        check_times("t", [[0.0, -1.0], [3.0, 2.0]], ">=", 0.0)
+    with pytest.raises(ValueError, match="t must be finite, got nan"):
+        check_times("t", [0.0, math.nan, -math.inf])
+    # an integer past the float range fails before it is converted
+    with pytest.raises(ValueError, match="t must be finite, got 1000"):
+        check_times("t", [0.0, 10 ** 400, math.nan])
