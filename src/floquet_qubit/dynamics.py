@@ -25,33 +25,46 @@ propagation is unitary by construction.  The chain starts at the identity
 samples; their first column is the state from |down>, and an ``initial``
 state psi is applied once, as U psi.
 
-A field that repeats after a period T is propagated over one period only:
-by Floquet's theorem U(nT + tau) = U(tau) U(T)^n (Shirley, Phys. Rev.
-138, B979 (1965)).  Each sample t is folded into tau = t - nT in (0, T],
-and U(T)^n is closed-form, (cos n theta + i s Im alpha, s beta) with
-cos theta = Re alpha, sin theta = |(Im alpha, beta)| and
-s = sin(n theta) / sin(theta), the Chebyshev U_{n-1}(cos theta).  The
-reduced equations repeat after pi/delta, the corrected ones after pi/delta
-for even N and 2 pi/delta for odd N (the signed envelope flips sign), and
-the full Hamiltonian, when omega_0 = q delta, after pi/delta for odd q and
-2 pi/delta for even q.  A full field with omega_0/delta no integer (such
-as criterion 8's random delta), or a window no longer than T, folds
-nothing: T is t_end and every n is 0.  Folded times within 4 eps t_end of
-each other (the rounding of the samples and of t - nT) share one grid
-point, and those that close to 0 or T are 0 or T, so a sample at a whole
-period adds no segment.  A window with 4 eps t_end >= T, where that
-rounding spans the period, raises ``IntegrationError``.
+A field that repeats after a period T is propagated over half a period
+only.  By Floquet's theorem U(nT + tau) = U(tau) U(T)^n (Shirley, Phys.
+Rev. 138, B979 (1965)), and every field given a period here is real
+(b_y = 0) and even about T/2, b(T - t) = b(t), so time reversal gives
+U(T) = U(T/2)^T U(T/2) and, for tau > T/2, U(tau) = conj(U(T - tau)) U(T).
+The Gauss-Legendre Magnus step is symmetric in time, so this is the same
+discretisation as a chain over the whole period.  Each sample t is folded
+into tau = t - nT in (0, T]; a tau past T/2 is mirrored to T - tau and
+takes conj(U(T - tau)) U(T)^(n+1).  In pair form the transpose of
+(alpha, beta) is (alpha, -conj beta) and the conjugate is
+(conj alpha, conj beta).  U(T)^n is closed-form,
+(cos n theta + i s Im alpha, s beta) with cos theta = Re alpha,
+sin theta = |(Im alpha, beta)| and s = sin(n theta) / sin(theta), the
+Chebyshev U_{n-1}(cos theta).  The reduced equations repeat after
+pi/delta, the corrected ones after pi/delta for even N and 2 pi/delta for
+odd N (the signed envelope flips sign), and the full Hamiltonian, when
+omega_0 = q delta, after pi/delta for odd q and 2 pi/delta for even q.  A
+full field with omega_0/delta no integer (such as criterion 8's random
+delta), or a window shorter than T, folds nothing: the chain covers
+[0, t_end] and every n is 0.  Folded times within 4 eps t_end of each
+other (the rounding of the samples, of t - nT and of T - tau) share one
+grid point, and those that close to either end of the chain are that end,
+so a sample at a whole or half period adds no segment.  A window with
+4 eps t_end >= T, where that rounding spans the period, raises
+``IntegrationError``, and so does a full window with 4 eps t_end at or
+past the carrier period 2 pi/omega_0, the finest edge spacing, before any
+edge is built.
 
-The interval [0, T] is cut into segments at every folded sample, every
-node of cos(delta t) (the kink of the paper's |cos| envelope) and, for the
-full Hamiltonian, every carrier period.  Each segment takes the same number
-of equal steps, multiplied pairwise; the segments are then chained in time
-order, and each sample takes its power of U(T).  The steps per segment
-double, from 1, until two successive runs differ by at most 63 tol at every
-sample, a sample's difference being the 2-norm of the change of the
-composed U|down>, which a change of basis keeps (the Hadamard between the z
-and x axes, so both runs stop at the same doubling).  The difference of two
-SU(2) matrices is a multiple of a unitary, so that 2-norm is the change of
+The chain, [0, T/2] or [0, t_end], is cut into segments at every folded
+sample, every node of cos(delta t) (the kink of the paper's |cos|
+envelope) and, for the full Hamiltonian, every carrier period.  Each
+segment takes the same number of equal steps, multiplied pairwise; the
+segments are then chained in time order, and each sample takes its power
+of U(T).  The steps per segment double, from 1, until two successive runs
+differ by at most 63 tol at every sample, a sample's difference being the
+2-norm of the change of the composed U|down>, which a change of basis
+keeps (the Hadamard between the z and x axes, so both runs stop at the
+same doubling).  The runs of 1 and 2 steps are built together, in one
+field call, and chained side by side.  The difference of two SU(2)
+matrices is a multiple of a unitary, so that 2-norm is the change of
 U psi for every unit psi, and the operator norm of the change of U.
 Halving the step of a sixth-order method cuts its error 64-fold, so the
 change is 63 times the error of the finer run, and ``tol`` bounds the
@@ -64,17 +77,18 @@ so memory does not grow with the window.
 
 Rounding sets the smallest reachable ``tol``, and it grows with the steps
 behind a sample: over 10^4 carrier periods the change between doublings
-stalls at about 1e-11 on a chain over the whole window and 1.5e-13 on the
-folded chain of a criterion-3 window (2.5 periods).  ``IntegrationError``
-is raised once the change falls less than 8-fold in a doubling while below
-the rounding bound, eps times the steps behind the last sample (its n + 1
-periods of the chain): the 64-fold rate leaves at most 1/8 truncation in
-such a change, and the rounding in the rest does not shrink with finer
-steps.  It is also raised once the 64-fold rate would need more than 2^14
-steps per segment to reach ``tol`` (steps * (change / (63 tol))^(1/6));
-a change that is not finite (an overflowed field) fails that test at the
-first doubling.  ``initial`` states must have unit norm within 1e-12,
-checked before anything is propagated.
+stalls at about 1e-11 on a chain over the whole window and 3e-13 on the
+folded half-period chain of a criterion-3 window (2.5 periods).
+``IntegrationError`` is raised once the change falls less than 8-fold in
+a doubling while below the rounding bound, eps times the steps behind the
+last sample (its n + 1 periods of the chain, two chains each when
+folded): the 64-fold rate leaves at most 1/8 truncation in such a change,
+and the rounding in the rest does not shrink with finer steps.  It is
+also raised once the 64-fold rate would need more than 2^14 steps per
+segment to reach ``tol`` (steps * (change / (63 tol))^(1/6)); a change
+that is not finite (an overflowed field) fails that test at the first
+doubling.  ``initial`` states must have unit norm within 1e-12, checked
+before anything is propagated.
 
 The population traces are |c1|^2 and |c2|^2 of the propagated amplitudes;
 ``PopulationTrace`` checks that they sum to 1.
@@ -141,9 +155,20 @@ class PopulationTrace:
     p2: np.ndarray
 
     def __post_init__(self):
-        self.times = _validate_times(self.times)
-        self.p1 = np.asarray(self.p1, dtype=float)
-        self.p2 = np.asarray(self.p2, dtype=float)
+        self._fill(_validate_times(self.times), self.p1, self.p2)
+
+    @classmethod
+    def _at_checked_times(cls, times: np.ndarray, p1, p2) -> PopulationTrace:
+        """The trace at ``times`` that ``_validate_times`` has returned,
+        built without checking them again."""
+        trace = cls.__new__(cls)
+        trace._fill(times, p1, p2)
+        return trace
+
+    def _fill(self, times: np.ndarray, p1, p2):
+        self.times = times
+        self.p1 = np.asarray(p1, dtype=float)
+        self.p2 = np.asarray(p2, dtype=float)
         if not self.times.shape == self.p1.shape == self.p2.shape:
             raise ValueError("times, p1, p2 must be 1-d arrays of equal length")
         if not (np.all(self.p1 >= -1e-9) and np.all(self.p1 <= 1 + 1e-9)):
@@ -183,8 +208,8 @@ def analytic_populations(params: SystemParams, times) -> PopulationTrace:
             f"{params.detuning:.3g} exceeds {DETUNING_RATIO_WARN:.0%} of epsilon0"
         )
     arr = _validate_times(times)
-    gamma = build_phase_decomposition(params).gamma_at(arr)
-    return PopulationTrace(times=arr, p1=np.cos(gamma) ** 2, p2=np.sin(gamma) ** 2)
+    gamma = build_phase_decomposition(params)._gamma(arr)
+    return PopulationTrace._at_checked_times(arr, np.cos(gamma) ** 2, np.sin(gamma) ** 2)
 
 
 def rabi_frequency(params: SystemParams, t):
@@ -276,7 +301,8 @@ def _evolve_two_amplitude(params: SystemParams, times, tol: float,
         return chebyshev.chebval(c if signed else np.abs(c), series), -0.5 * detuning
 
     # the |cos| envelope repeats after pi/delta, the signed one after
-    # 2 pi/delta for odd N, where it flips sign
+    # 2 pi/delta for odd N, where it flips sign; both are even about half
+    # their period
     period = params.period * (2.0 if signed and params.order % 2 else 1.0)
     amps = _propagate(field, params, times, tol, period, carrier_edges=False, initial=initial)
     turn = np.exp(-0.5j * detuning * np.asarray(times, dtype=float))
@@ -299,9 +325,11 @@ def evolve_full(params: SystemParams, axis: str, times, tol: float = DEFAULT_TOL
     edges at every sample time, every node of cos(delta t) and every carrier
     period, so each segment spans at most one carrier period whatever the
     sampling.  When omega_0 = q delta (within 4 eps) the field repeats after
-    pi/delta for odd q and 2 pi/delta for even q, and only that period is
-    propagated, the samples folded into it and composed with powers of its
-    propagator; any other ratio is propagated over the whole window.
+    pi/delta for odd q and 2 pi/delta for even q, and is even about the
+    middle of that period, so only its first half is propagated, the samples
+    folded into it and composed with powers of the period's propagator; any
+    other ratio is propagated over the whole window, and raises
+    ``IntegrationError`` when 4 eps t_end reaches the carrier period.
     ``tol`` bounds the estimated global error of the amplitudes
     at every sample, as a 2-norm, from every initial state;
     ``IntegrationError`` is raised when rounding or the budget of 2^14 steps
@@ -316,8 +344,9 @@ def evolve_full(params: SystemParams, axis: str, times, tol: float = DEFAULT_TOL
         return (-0.5 * params.delta_gap, e) if axis == "z" else (-e, 0.5 * params.delta_gap)
 
     # for omega_0 = q delta, f(t + pi/delta) = (-1)^(q+1) f(t): the field
-    # repeats after pi/delta for odd q and 2 pi/delta for even q.  The
-    # remainders omega_0 - q delta and omega_0 - 2 m delta are exact
+    # repeats after that T, pi/delta for odd q and 2 pi/delta for even q,
+    # with f(T - t) = f(t).  The remainders omega_0 - q delta and
+    # omega_0 - 2 m delta are exact
     period = None
     if abs(math.remainder(params.carrier, params.modulation)) <= 4.0 * _EPS * params.carrier:
         even = abs(math.remainder(params.carrier, 2.0 * params.modulation)) < params.modulation / 2
@@ -340,8 +369,10 @@ def _propagate(field, params: SystemParams, times, tol: float, period: float | N
     column is the state from |down>.  ``times``, ``tol`` and ``initial``
     are checked before anything is propagated.  ``field(t)`` returns (w, z)
     for an array of times, each an array or a constant, and repeats after
-    ``period`` (None if it does not).  See the module docstring for the
-    fold, the segments and the step doubling.
+    ``period`` (None if it does not); a field given a period must be real
+    (w real, b_y = 0) and even about half of it, field(T - t) = field(t).
+    See the module docstring for the fold, the segments and the step
+    doubling.
     """
     arr = _validate_times(times)
     check_real("tol", tol, ">", 0.0)
@@ -352,66 +383,86 @@ def _propagate(field, params: SystemParams, times, tol: float, period: float | N
     # takes T = t_end and n = 0 everywhere
     span = t_end if period is None else min(period, t_end)
     # points within a few ulps of t_end (the rounding of the samples and of
-    # t - n T) share one grid point, and those next to 0 or T (or a node a
-    # hair past T) are 0 or T
+    # t - n T) share one grid point, and those next to 0 or the end of the
+    # chain (or a node a hair past it) are 0 or that end
     merge = 4.0 * _EPS * t_end
     if 0.0 < span <= merge:
         raise IntegrationError(f"window t_end = {t_end:g} is too long to fold: the rounding of "
                                f"its times, {merge:.1e}, reaches the period {span:.6g}")
+    if carrier_edges and 2.0 * math.pi / params.carrier <= merge:
+        raise IntegrationError(f"window t_end = {t_end:g} is too long: the rounding of its "
+                               f"times, {merge:.1e}, reaches the carrier period "
+                               f"{2.0 * math.pi / params.carrier:.6g}")
     n = np.maximum(np.ceil(arr / span) - 1.0, 0.0) if span > 0.0 else np.zeros(arr.size)
-    edges = [[0.0, span], arr - n * span,
-             np.arange(0.5, params.modulation * span / math.pi) * math.pi / params.modulation]
+    tau = arr - n * span
+    # a folded field is even about T/2, so the chain stops there and a
+    # sample past it takes U(tau) = conj(U(T - tau)) U(T)
+    folded = span == period
+    end = 0.5 * span if folded else span
+    back = tau > end
+    tau[back] = span - tau[back]
+    edges = [[0.0, end], tau,
+             np.arange(0.5, params.modulation * end / math.pi) * math.pi / params.modulation]
     if carrier_edges:
-        edges.append(np.arange(1.0, params.carrier * span / (2.0 * math.pi)) * 2.0 * math.pi
+        edges.append(np.arange(1.0, params.carrier * end / (2.0 * math.pi)) * 2.0 * math.pi
                      / params.carrier)
-    points = np.clip(np.concatenate(edges), 0.0, span)
+    points = np.clip(np.concatenate(edges), 0.0, end)
     points[points <= merge] = 0.0
-    points[points >= span - merge] = span
+    points[points >= end - merge] = end
     ordered = np.sort(points)
     grid = ordered[np.diff(ordered, prepend=-math.inf) > merge]
-    # the folded samples follow 0 and T; each takes the grid point that heads its run
+    # the folded samples follow 0 and the end; each takes the grid point that heads its run
     samples = np.searchsorted(grid, points[2:2 + arr.size] + merge, side="right") - 1
-    # the distinct n, and which of them each sample takes
-    periods, which = np.unique(n, return_inverse=True)
-    q = np.empty((2, grid.size), dtype=complex)
-    q[:, 0] = (1.0, 0.0)  # the identity heads the chain
-    # eps times the steps behind the last sample bounds its rounding: the
-    # power of U(T) multiplies the rounding of U(T) by n
-    rounding = _EPS * grid.size * (periods[-1] + 1)
-    previous, change, steps = None, math.inf, 1
+    # the distinct powers of U(T), and which of them each sample takes
+    periods, which = np.unique(n + back, return_inverse=True)
+    # eps times the steps behind the last sample bounds its rounding: a
+    # folded U(T) is two chains, and its power multiplies their rounding by n
+    rounding = _EPS * grid.size * (2.0 if folded else 1.0) * (periods[-1] + 1)
+    # the first pass runs 1 and 2 steps per segment through one field call
+    levels, previous, change = (1, 2), None, math.inf
     while True:
-        per_block = max(1, _BLOCK_STEPS // steps)
+        q = np.empty((2, len(levels), grid.size), dtype=complex)
+        q[:, :, 0] = [[1.0], [0.0]]  # the identity heads each chain
+        per_block = max(1, _BLOCK_STEPS // sum(levels))
         for lo in range(0, grid.size - 1, per_block):
-            q[:, lo + 1:lo + 1 + per_block] = _segment_propagators(
-                field, grid[lo:lo + per_block + 1], steps)
+            q[:, :, lo + 1:lo + 1 + per_block] = _segment_propagators(
+                field, grid[lo:lo + per_block + 1], levels)
         u = _running_products(q)
+        ends = u[:, :, -1]
+        if folded:  # U(T) = U(T/2)^T U(T/2); the transpose of (a, b) is (a, -conj b)
+            ends = _mul(np.array([ends[0], -np.conj(ends[1])]), ends, np.empty_like(ends))
         # np.take gathers several times faster than fancy indexing
-        powers = np.take(_power(u[:, -1], periods), which, axis=1)
-        pairs = _mul(np.take(u, samples, axis=1), powers, np.empty_like(powers))
-        if previous is not None:
-            # the largest 2-norm of a sample's change of U|down>, which is
-            # the operator norm of the change of U, so the change of U psi
-            # for every unit psi, and which a rotation of the basis (the
-            # Hadamard between the z and x runs) keeps
-            last, change = change, float(np.max(np.linalg.norm(pairs - previous, axis=0)))
-            if change <= 63.0 * tol:
-                return pairs if initial is None else _mul(
-                    pairs, np.array([initial.c1, initial.c2], dtype=complex), np.empty_like(pairs))
-            # a doubling cuts a sixth-order change 64-fold once the steps
-            # resolve the field, so a change that falls less than 8-fold
-            # holds at most 1/8 truncation (last/64 < change/8): the rest is
-            # rounding, which finer steps do not remove.  Stop there if the
-            # change is below the rounding bound (coarse steps that do not
-            # resolve the field can stall too, at changes of order one), or
-            # when the 64-fold rate cannot reach tol within the budget, which
-            # a change that is not finite (an overflowed field) fails at once
-            if last / 8 < change < rounding * steps:
-                raise IntegrationError(f"tol {tol:g} is below the rounding of this window: "
-                                       f"step doublings stall at a change of {change:.1e}")
-            if not steps * (change / (63.0 * tol)) ** (1.0 / 6.0) <= _STEP_BUDGET:
-                raise IntegrationError(f"tol {tol:g} is not reached within {_STEP_BUDGET} "
-                                       f"steps per segment")
-        previous, steps = pairs, 2 * steps
+        at = np.take(u, samples, axis=2)
+        np.conjugate(at, out=at, where=back)
+        for level, steps in enumerate(levels):
+            powers = np.take(_power(ends[:, level], periods), which, axis=1)
+            pairs = _mul(at[:, level], powers, np.empty_like(powers))
+            if previous is not None:
+                # the largest 2-norm of a sample's change of U|down>, which is
+                # the operator norm of the change of U, so the change of U psi
+                # for every unit psi, and which a rotation of the basis (the
+                # Hadamard between the z and x runs) keeps
+                last, change = change, float(np.max(np.linalg.norm(pairs - previous, axis=0)))
+                if change <= 63.0 * tol:
+                    return pairs if initial is None else _mul(
+                        pairs, np.array([initial.c1, initial.c2], dtype=complex),
+                        np.empty_like(pairs))
+                # a doubling cuts a sixth-order change 64-fold once the steps
+                # resolve the field, so a change that falls less than 8-fold
+                # holds at most 1/8 truncation (last/64 < change/8): the rest is
+                # rounding, which finer steps do not remove.  Stop there if the
+                # change is below the rounding bound (coarse steps that do not
+                # resolve the field can stall too, at changes of order one), or
+                # when the 64-fold rate cannot reach tol within the budget, which
+                # a change that is not finite (an overflowed field) fails at once
+                if last / 8 < change < rounding * steps:
+                    raise IntegrationError(f"tol {tol:g} is below the rounding of this window: "
+                                           f"step doublings stall at a change of {change:.1e}")
+                if not steps * (change / (63.0 * tol)) ** (1.0 / 6.0) <= _STEP_BUDGET:
+                    raise IntegrationError(f"tol {tol:g} is not reached within {_STEP_BUDGET} "
+                                           f"steps per segment")
+            previous = pairs
+        levels = (2 * levels[-1],)
 
 
 def _power(u: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -428,27 +479,35 @@ def _power(u: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.array([np.cos(angle) + 1j * alpha.imag * s, beta * s])
 
 
-def _segment_propagators(field, edges: np.ndarray, steps: int) -> np.ndarray:
-    """One pair per segment between successive ``edges``: the product of its
-    ``steps`` equal sixth-order Magnus steps."""
+def _segment_propagators(field, edges: np.ndarray, levels: tuple) -> np.ndarray:
+    """Pairs, shape (2, len(levels), segments): for each step count in
+    ``levels``, one pair per segment between successive ``edges``, the
+    product of that many equal sixth-order Magnus steps.  The steps of every
+    level go through one field call."""
     length = np.diff(edges)
-    h = np.repeat(length / steps, steps)
-    mid = (edges[:-1, None] + length[:, None] * ((np.arange(steps) + 0.5) / steps)).ravel()
+    h = np.concatenate([np.repeat(length / steps, steps) for steps in levels])
+    mid = np.concatenate([
+        (edges[:-1, None] + length[:, None] * ((np.arange(steps) + 0.5) / steps)).ravel()
+        for steps in levels])
     # the three Gauss-Legendre nodes of every step, one row each, in one call
     q = _magnus_step(*_magnus_exponent(h, *field(mid + _NODES[:, None] * h)))
-    q = q.reshape(2, -1, steps)
-    while q.shape[2] > 1:
-        q = _mul(q[:, :, 1::2], q[:, :, 0::2], np.empty_like(q[:, :, 1::2]))
+    products, start = np.empty((2, len(levels), length.size), dtype=complex), 0
+    for level, steps in enumerate(levels):
+        p = q[:, start:start + steps * length.size].reshape(2, -1, steps)
+        start += steps * length.size
+        while p.shape[2] > 1:
+            p = _mul(p[:, :, 1::2], p[:, :, 0::2], np.empty_like(p[:, :, 1::2]))
+        products[:, level] = p[:, :, 0]
     # the rounding of cos|c| repeats with one sign over equal steps; left in,
     # it adds up to a norm drift of 1e-11 over a 10^4-period window.  The
     # real and imaginary parts are divided as reals: a complex division by a
     # real rounds twice and biases the norm, which doubles the drift.
     # |alpha|^2 + |beta|^2 by explicit adds: a two-axis np.sum gives the
     # same bits at ten times the cost
-    v = q[:, :, 0].view(float).reshape(2, -1, 2)
+    v = products.view(float).reshape(2, len(levels), -1, 2)
     s = v * v
-    norm = np.sqrt((s[0, :, 0] + s[0, :, 1]) + (s[1, :, 0] + s[1, :, 1]))
-    return (v / norm[:, None]).reshape(2, -1).view(complex)
+    norm = np.sqrt((s[0, ..., 0] + s[0, ..., 1]) + (s[1, ..., 0] + s[1, ..., 1]))
+    return (v / norm[..., None]).reshape(2, len(levels), -1).view(complex)
 
 
 def _cross(wu, zu, wv, zv):
@@ -495,11 +554,11 @@ def _magnus_step(w: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _running_products(q: np.ndarray) -> np.ndarray:
-    """Products q[:, k] ... q[:, 0] for every k, in place, by recursive
-    doubling."""
-    buf, shift, n = np.empty_like(q), 1, q.shape[1]
+    """Products q[..., k] ... q[..., 0] for every k along the last axis, in
+    place, by recursive doubling."""
+    buf, shift, n = np.empty_like(q), 1, q.shape[-1]
     while shift < n:
-        q[:, shift:] = _mul(q[:, shift:], q[:, :-shift], buf[:, :n - shift])
+        q[..., shift:] = _mul(q[..., shift:], q[..., :-shift], buf[..., :n - shift])
         shift *= 2
     return q
 

@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special
@@ -115,7 +115,10 @@ class PhaseDecomposition:
         """Accumulated phase gamma_N(t) = (delta_gap/2) int_0^t J_N(w(tau)) dtau
         as slope * t + periodic_part(t), for a time t >= 0 or an array of
         them, each finite (``model.check_times``); no quadrature."""
-        t = check_times("t", t, ">=", 0.0)
+        return self._gamma(check_times("t", t, ">=", 0.0))
+
+    def _gamma(self, t):
+        """``gamma_at`` of a float or float array already checked."""
         return self.slope * t + self.periodic_part(t)
 
 
@@ -244,12 +247,13 @@ def reconstruct_periodic_phase(phase: FourierPhase, delta_gap: float, t):
 # quasienergetic states
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QesState:
+class QesState(NamedTuple):
     """One quasienergetic-state branch at a fixed time.
 
     Amplitudes are on the diabatic basis with the quasienergy phase factored
-    out: (c_down, c_up) = e^{+-i (-1)^N Phi_N(t)} (1, +-1)/sqrt(2).
+    out: (c_down, c_up) = e^{+-i (-1)^N Phi_N(t)} (1, +-1)/sqrt(2).  A named
+    tuple, immutable and hashable, which builds faster than a frozen
+    dataclass.
     """
 
     branch: str
@@ -262,19 +266,20 @@ class QesState:
         return abs(self.c_down) ** 2 + abs(self.c_up) ** 2
 
 
+_BRANCH_SIGNS = {"plus": 1.0, "minus": -1.0}
+
+
 def qes_state(params: SystemParams, branch: str, t: float) -> QesState:
     """Quasienergetic state of the requested branch at time t (exact resonance)."""
-    if branch not in ("plus", "minus"):
+    s = _BRANCH_SIGNS.get(branch) if isinstance(branch, str) else None
+    if s is None:
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
     tf = float(check_real("t", t, ">", -math.inf))
-    s = 1.0 if branch == "plus" else -1.0
     decomposition = build_phase_decomposition(params)
     phi = decomposition.periodic_part(tf)
     parity = 1.0 if params.order % 2 == 0 else -1.0
-    phase = cmath.exp(1j * s * parity * phi)
-    amplitude = phase / math.sqrt(2.0)
-    return QesState(branch=branch, quasienergy=s * parity * decomposition.slope,
-                    c_down=amplitude, c_up=s * amplitude)
+    amplitude = cmath.exp(1j * s * parity * phi) / math.sqrt(2.0)
+    return QesState(branch, s * parity * decomposition.slope, amplitude, s * amplitude)
 
 
 # ---------------------------------------------------------------------------

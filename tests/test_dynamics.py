@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.linalg import expm
 
-from floquet_qubit import dynamics
+from floquet_qubit import dynamics, floquet
 from floquet_qubit.dynamics import (
     AmplitudePair,
     IntegrationError,
@@ -92,6 +92,24 @@ def test_analytic_full_inversion_at_quarter_phase():
     trace = analytic_populations(p, [t_star])
     assert trace.p1[0] < 1e-12
     assert trace.p2[0] > 1.0 - 1e-12
+
+
+def test_analytic_checks_its_times_once(monkeypatch):
+    # one pass of model.check_times, whichever module calls it, and the
+    # trace it returns is the one PopulationTrace would build
+    calls = []
+    for module in (dynamics, floquet):
+        def counted(*args, check=module.check_times):
+            calls.append(args[0])
+            return check(*args)
+        monkeypatch.setattr(module, "check_times", counted)
+    p = make_params(order=2, ratio=0.7)
+    times = np.linspace(0.0, 3.0 * p.period, 301)
+    trace = analytic_populations(p, times)
+    assert calls == ["times"]
+    rebuilt = PopulationTrace(times=trace.times, p1=trace.p1, p2=trace.p2)
+    for name in ("times", "p1", "p2"):
+        assert np.array_equal(getattr(trace, name), getattr(rebuilt, name))
 
 
 def test_analytic_rejects_detuned_params():
@@ -587,7 +605,8 @@ def test_magnus_kernel_is_sixth_order():
     exact = (expm(-0.5j * omega * t_end * SIGMA_Z)
              @ expm(-1j * t_end * (big_b * SIGMA_X + (b0 - 0.5 * omega) * SIGMA_Z)))[:, 0]
     errors = [np.linalg.norm(_segment_propagators(lambda t: (big_b * np.exp(1j * omega * t), b0),
-                                                  np.array([0.0, t_end]), steps)[:, 0] - exact)
+                                                  np.array([0.0, t_end]), (steps,))[:, 0, 0]
+                             - exact)
               for steps in (16, 32, 64, 128)]
     assert errors[-1] > 1e-11  # above the rounding
     for coarse, fine in zip(errors, errors[1:]):
@@ -701,9 +720,10 @@ def _recorded_grids(monkeypatch):
     """Edges of every ``_segment_propagators`` call, by steps per segment."""
     grids = {}
 
-    def record(field, edges, steps):
-        grids.setdefault(steps, []).append(edges)
-        return _segment_propagators(field, edges, steps)
+    def record(field, edges, levels):
+        for steps in levels:
+            grids.setdefault(steps, []).append(edges)
+        return _segment_propagators(field, edges, levels)
 
     monkeypatch.setattr(dynamics, "_segment_propagators", record)
     return grids
@@ -714,16 +734,19 @@ def _recorded_grids(monkeypatch):
     lambda p, times: evolve_full(p, "z", times, tol=1e-8),
 ], ids=["reduced", "full q odd"])
 def test_a_long_window_propagates_one_period(evolve, monkeypatch):
-    # both fields repeat after pi/delta: q = omega_0/delta = 5 is odd
+    # both fields repeat after T = pi/delta (q = omega_0/delta = 5 is odd)
+    # and are even about T/2, so only [0, T/2] is chained
     p = make_params(order=1, ratio=0.5, gap_over_mod=2.0, modulation=0.2)
     times = np.linspace(0.0, 40 * p.period, 2001)
     grids = _recorded_grids(monkeypatch)
     evolve(p, times)
     for edges in grids.values():
         edges = np.concatenate(edges)
-        assert edges.max() <= p.period
-        # 50 folded samples, the node of cos(delta t) and 2 carrier edges
-        assert np.unique(edges).size <= 54
+        assert edges.max() <= 0.5 * p.period
+        # 0, 25 folded samples (the last one and the node of cos(delta t) on
+        # T/2; those past T/2 mirrored onto them) and 1 carrier edge, where
+        # the whole period took 54
+        assert np.unique(edges).size <= 27
 
 
 @pytest.mark.parametrize("evolve", [
@@ -770,6 +793,89 @@ def test_a_window_past_the_fold_is_refused(t_end, monkeypatch):
             with pytest.raises(IntegrationError, match="too long to fold"):
                 evolve(p, [0.0, t_end])
     assert not grids
+
+
+@pytest.mark.parametrize("t_end", [1e20, 1e300])
+def test_an_unfoldable_full_window_past_the_carrier_rounding_is_refused(t_end, monkeypatch):
+    # omega_0/delta is no integer, so the whole window would be chained with
+    # an edge every carrier period: 1e20 asked NumPy for 2.72 EiB of them and
+    # 1e300 for more than it can size.  4 eps t_end >= 2 pi/omega_0 is
+    # refused by name before any edge array is built
+    p = make_params(ratio=0.5, modulation=0.0123)
+    assert 4.0 * EPS * t_end >= 2.0 * math.pi / p.carrier
+    grids = _recorded_grids(monkeypatch)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for axis in ("z", "x"):
+                with pytest.raises(IntegrationError, match="t_end = .* carrier period"):
+                    evolve_full(p, axis, [0.0, t_end])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not grids
+    assert peak < 2 ** 20
+
+
+# name, run, N, delta and the field's period in units of pi/delta
+_FOLDED_RUNS = [
+    ("reduced", lambda p, t: evolve_reduced(p, t, tol=1e-10), 1, 0.2, 1.0),
+    ("corrected N odd", lambda p, t: evolve_corrected(p, t, tol=1e-10), 1, 0.2, 2.0),
+    ("corrected N even", lambda p, t: evolve_corrected(p, t, tol=1e-10), 2, 0.2, 1.0),
+    ("full z q odd", lambda p, t: evolve_full(p, "z", t, tol=1e-9), 1, 0.2, 1.0),
+    ("full x q odd", lambda p, t: evolve_full(p, "x", t, tol=1e-9), 1, 0.2, 1.0),
+    ("full z q even", lambda p, t: evolve_full(p, "z", t, tol=1e-9), 1, 0.25, 2.0),
+    ("full x q even", lambda p, t: evolve_full(p, "x", t, tol=1e-9), 2, 0.25, 2.0),
+]
+
+
+def _folded_call(monkeypatch, evolve, order, modulation, periods):
+    """Run ``evolve`` over 3.3 periods of its field at 61 samples; return
+    the unpatched ``_propagate`` and the arguments and result of its one
+    call."""
+    calls = []
+
+    def spy(field, params, times, tol, period, carrier_edges, initial):
+        amps = propagate(field, params, times, tol, period, carrier_edges, initial)
+        calls.append((field, params, times, tol, period, carrier_edges, initial, amps))
+        return amps
+
+    propagate = dynamics._propagate
+    monkeypatch.setattr(dynamics, "_propagate", spy)
+    # off resonance by 0.01, so the reduced fields have a z component
+    p = make_params(order=order, ratio=0.5, gap_over_mod=2.0, modulation=modulation,
+                    epsilon0=order + 0.01)
+    evolve(p, np.linspace(0.0, 3.3 * periods * p.period, 61))
+    assert len(calls) == 1 and calls[0][4] == periods * p.period
+    return propagate, calls[0]
+
+
+@pytest.mark.parametrize("evolve, order, modulation, periods",
+                         [run[1:] for run in _FOLDED_RUNS], ids=[run[0] for run in _FOLDED_RUNS])
+def test_the_fold_matches_the_whole_window(evolve, order, modulation, periods, monkeypatch):
+    propagate, (field, params, times, tol, _, carrier_edges, initial, folded) = _folded_call(
+        monkeypatch, evolve, order, modulation, periods)
+    whole = propagate(field, params, times, tol, None, carrier_edges, initial)
+    assert np.max(np.abs(folded - whole)) <= tol
+
+
+@pytest.mark.parametrize("evolve, order, modulation, periods",
+                         [run[1:] for run in _FOLDED_RUNS], ids=[run[0] for run in _FOLDED_RUNS])
+def test_a_folded_field_is_real_and_even_about_half_its_period(evolve, order, modulation,
+                                                             periods, monkeypatch):
+    # the half-period chain needs field(T - t) = field(t) with b_y = 0.  The
+    # rounding of the phases, up to omega_0 T = 8 pi, moves the field by a
+    # few eps times that phase
+    _, (field, params, _, _, period, _, _, _) = _folded_call(
+        monkeypatch, evolve, order, modulation, periods)
+    t = np.linspace(0.0, period, 1001)
+    ahead = [np.broadcast_to(x, t.shape) for x in field(t)]
+    behind = [np.broadcast_to(x, t.shape) for x in field(period - t)]
+    scale = max(np.max(np.abs(x)) for x in ahead)
+    assert np.all(np.imag(ahead[0]) == 0.0)
+    for a, b in zip(ahead, behind):
+        assert np.max(np.abs(a - b)) <= 4.0 * EPS * params.carrier * period * scale
 
 
 def test_zero_field_over_many_periods_is_the_identity():

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -409,6 +410,27 @@ def test_qes_quasienergy_is_the_signed_slope():
 def test_qes_invalid_branch():
     with pytest.raises(ValueError):
         qes_state(make_params(), "up", 0.0)
+
+
+@pytest.mark.parametrize("branch", ["up", "Plus", None, b"plus", ["plus"]])
+def test_qes_refuses_a_branch_by_name(branch):
+    with pytest.raises(ValueError, match="branch must be 'plus' or 'minus'"):
+        qes_state(make_params(), branch, 0.0)
+
+
+def test_qes_state_is_an_immutable_hashable_record():
+    # (c_down, c_up) = e^{i s (-1)^N Phi} (1, s) / sqrt(2), to the bit
+    for order in (1, 2):
+        p = make_params(order=order, ratio=1.3)
+        phi = build_phase_decomposition(p).periodic_part(123.4)
+        for branch, s in (("plus", 1.0), ("minus", -1.0)):
+            state = qes_state(p, branch, 123.4)
+            amplitude = cmath.exp(1j * s * (-1.0) ** order * phi) / math.sqrt(2.0)
+            assert state == (branch, state.quasienergy, amplitude, s * amplitude)
+            assert state._fields == ("branch", "quasienergy", "c_down", "c_up")
+            assert hash(state) == hash(qes_state(p, branch, 123.4))
+            with pytest.raises(AttributeError):
+                state.c_up = 0.0
 
 
 # ---------------------------------------------------------------------------
