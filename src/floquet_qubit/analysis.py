@@ -13,7 +13,7 @@ from scipy import optimize, special
 from .dynamics import PopulationTrace
 from .floquet import mean_bessel, quasienergy
 from .model import SystemParams, check_count, check_real
-from .specfun import MAX_ARGUMENT, MAX_ORDER, check_domain
+from .specfun import MAX_ARGUMENT, bessel_span, check_domain
 
 __all__ = [
     "PeriodicityResult",
@@ -136,32 +136,35 @@ def trace_periodicity_check(trace: PopulationTrace, period: float, reps: int = 1
 
 
 def spectral_lines(params: SystemParams,
-                   weight_threshold: float = DEFAULT_WEIGHT_THRESHOLD,
-                   index_cutoff: int | None = None) -> np.recarray:
+                   weight_threshold: float = DEFAULT_WEIGHT_THRESHOLD) -> np.recarray:
     """Probe-transition catalog between the two quasienergy branches.
 
     Frequencies are eps0 + m omega_0 + 2 E_N + (2n - m) delta with weights
     2 |J_n(A/omega_0) J_{m-n}(A/omega_0)|; lines below ``weight_threshold``
-    are dropped.  Returns a record array with integer fields ``m``, ``n`` and
-    float fields ``frequency``, ``weight``, one row per line ordered by m,
-    then n.  A positive frequency is an absorption line, a negative one
-    amplification, and zero a static line.
+    are dropped.  n and k = m - n run over the orders whose |J_k| is above
+    rounding of the largest, cut from the ``specfun.bessel_span`` tail, and
+    m = n + k as far as that takes it.  Over every order the signed
+    half-weights J_n J_{m-n} sum to 1 (DLMF 10.12.1 at t = 1), and so do
+    their squares (DLMF 10.23.3): only the dropped lines keep the sums of a
+    catalogue from 1.  Returns a record array with integer fields ``m``, ``n`` and float fields
+    ``frequency``, ``weight``, one row per line ordered by m, then n.  A
+    positive frequency is an absorption line, a negative one amplification,
+    and zero a static line.
     """
     check_real("weight_threshold", weight_threshold, ">=", 0.0)
-    if index_cutoff is None:
-        index_cutoff = int(math.ceil(params.drive_ratio)) + 20
-    cutoff = check_count("index_cutoff", index_cutoff, 0)
-    if 2 * cutoff > MAX_ORDER:
-        raise ValueError(f"index_cutoff must be <= {MAX_ORDER // 2} (Bessel orders up to "
-                         f"2 index_cutoff; the default is ceil(A/omega_0) + 20), got {cutoff}")
     ratio = params.drive_ratio
-    stark = 2.0 * quasienergy(params)
-    bessel = special.jv(np.arange(-2 * cutoff, 2 * cutoff + 1), ratio)  # J_k at k + 2 cutoff
-    index = np.arange(-cutoff, cutoff + 1)
-    m, n = np.meshgrid(index, index, indexing="ij")  # lines ordered by m, then n
-    weight = 2.0 * np.abs(bessel[n + 2 * cutoff] * bessel[m - n + 2 * cutoff])
-    keep = weight >= weight_threshold
-    m, n, weight = m[keep], n[keep], weight[keep]
+    stark = 2.0 * quasienergy(params)  # raises outside specfun.check_domain
+    span = bessel_span(ratio)
+    bessel = special.jv(np.arange(-span, span + 1), ratio)  # J_k at k + span
+    tail = np.abs(bessel[span:])
+    top = int(np.flatnonzero(tail > np.finfo(float).eps * np.max(tail))[-1])
+    bessel = bessel[span - top:span + top + 1]
+    weight = 2.0 * np.abs(np.multiply.outer(bessel, bessel))  # at (n + top, k + top)
+    n, k = np.nonzero(weight >= weight_threshold)  # ordered by n, then k
+    weight = weight[n, k]
+    n, m = n - top, n + k - 2 * top
+    order = np.argsort(m, kind="stable")  # by m, then n
+    m, n, weight = m[order], n[order], weight[order]
     freq = params.epsilon0 + m * params.carrier + stark + (2 * n - m) * params.modulation
     return np.rec.fromarrays((m, n, freq, weight), names=("m", "n", "frequency", "weight"))
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -27,73 +28,61 @@ from .specfun import check_domain
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
 DEFAULT_SAMPLES = 2001
-MAX_SWEEP_POINTS = 10 ** 6  # a sweep this long already takes seconds and writes tens of MB
+MAX_ROWS = 10 ** 6  # a run this long already takes seconds and writes tens of MB
 
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
 
 
-# Every config key and flag: its type, and either its choices or the rule a
-# valid value meets ("<op> <number or key>"; a value meeting a rule is also
-# finite).  SystemParams checks the physical keys (its fields); the carrier
-# has a rule here too because the other physical defaults derive from it.
-_KEYS = {
-    "epsilon0": (float, None),
-    "delta_gap": (float, None),
-    "amplitude": (float, None),
-    "carrier": (float, "> 0"),
-    "modulation": (float, None),
-    "order": (int, None),
-    "tol": (float, "> 0"),
-    "ratio_min": (float, ">= 0"),
-    "ratio_max": (float, "> ratio_min"),
-    "ratio_step": (float, "> 0"),
-    "t_end": (float, "> 0"),
-    "samples": (int, ">= 2"),
-    "method": (str, ("analytic", "reduced")),
-    "axis": (str, ("z", "x")),
-    "m_max": (int, ">= 1"),
-    "n_max": (int, ">= 1"),
-    "weight_threshold": (float, ">= 0"),
-    "index_cutoff": (int, ">= 0"),
-    "format": (str, ("csv", "json")),
-    "out": (str, None),
-}
+def _key(default=None, rule=None):
+    """A RunConfig field that is also a config key and flag: its default and
+    either its choices (a tuple) or the rule a valid value meets
+    ("<op> <number or key>"; a value meeting a rule is also finite)."""
+    return field(default=default, metadata={"rule": rule})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated run description for one CLI invocation."""
+    """Fully validated run description for one CLI invocation.
+
+    Every field after ``params`` is a config key and flag, as is every
+    field of ``SystemParams``; ``format`` and ``out`` are required.
+    """
 
     command: str
     params: SystemParams
-    out: str
-    fmt: str
-    t_end: float  # derived from the modulation when not given
-    tol: float = DEFAULT_TOL
-    ratio_min: float = 0.0
-    ratio_max: float = 11.0
-    ratio_step: float = 0.02
-    samples: int = DEFAULT_SAMPLES
-    method: str = "analytic"
-    axis: str = "z"
-    m_max: int = 6
-    n_max: int = 6
-    weight_threshold: float = DEFAULT_WEIGHT_THRESHOLD
-    index_cutoff: int | None = None  # None: spectral_lines' ceil(A/omega_0) + 20
+    tol: float = _key(DEFAULT_TOL, "> 0")
+    ratio_min: float = _key(0.0, ">= 0")
+    ratio_max: float = _key(11.0, "> ratio_min")
+    ratio_step: float = _key(0.02, "> 0")
+    t_end: float = _key(rule="> 0")  # derived from the modulation when not given
+    samples: int = _key(DEFAULT_SAMPLES, ">= 2")
+    method: str = _key("analytic", ("analytic", "reduced"))
+    axis: str = _key("z", ("z", "x"))
+    m_max: int = _key(6, ">= 1")
+    n_max: int = _key(6, ">= 1")
+    weight_threshold: float = _key(DEFAULT_WEIGHT_THRESHOLD, ">= 0")
+    format: str = _key(rule=("csv", "json"))
+    out: str = _key()
 
 
-def _typed(key: str, raw):
-    """``raw`` (config-file text or a typed override) as the type of ``key``."""
-    if key not in _KEYS:
-        raise ConfigError(f"unknown key '{key}'")
-    kind, rule = _KEYS[key]
+# every config key and flag: the SystemParams fields (which check
+# themselves), then the RunConfig fields after params
+_FIELDS = {f.name: f for f in fields(SystemParams) + fields(RunConfig)[2:]}
+_TYPES = {**get_type_hints(SystemParams), **get_type_hints(RunConfig)}
+
+
+def _value(key: str, raw, rule=None, values: dict | None = None):
+    """``raw`` (config-file text or a typed value) as the type of ``key``,
+    one of the choices or meeting the rule of ``_key`` (a key the rule names
+    is looked up in ``values``); otherwise a ConfigError naming ``key``."""
     if isinstance(rule, tuple):
         if raw not in rule:
             raise ConfigError(f"invalid value for '{key}': {raw!r} "
                               f"(expected {' or '.join(rule)})")
         return raw
+    kind = _TYPES[key]
     try:
         value = kind(raw)
     except (TypeError, ValueError, OverflowError):
@@ -102,21 +91,14 @@ def _typed(key: str, raw):
     if value is None or (kind is int and not isinstance(raw, str) and value != raw):
         noun = "integer" if kind is int else "number"
         raise ConfigError(f"invalid {noun} for '{key}': {raw!r}")
+    if rule is not None:
+        op, bound = rule.split()
+        try:
+            check_real(key, value, op, values[bound] if bound in _FIELDS else float(bound))
+        except ValueError:
+            raise ConfigError(f"invalid value for '{key}': must be finite and {rule}, "
+                              f"got {value}") from None
     return value
-
-
-def _check(key: str, value, config: RunConfig | None = None) -> None:
-    """Raise unless ``value`` is finite and meets the rule of ``key``
-    (``model.check_real``)."""
-    rule = _KEYS[key][1]
-    if value is None or not isinstance(rule, str):
-        return
-    op, bound = rule.split()
-    try:
-        check_real(key, value, op, getattr(config, bound) if bound in _KEYS else float(bound))
-    except ValueError:
-        raise ConfigError(f"invalid value for '{key}': must be finite and {rule}, "
-                          f"got {value}") from None
 
 
 def _parse_source(source: str) -> dict:
@@ -128,7 +110,7 @@ def _parse_source(source: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        values[key] = _typed(key, raw)
+        values[key] = raw
     return values
 
 
@@ -142,36 +124,38 @@ def parse_config(source: str, overrides: dict | None = None,
     """
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command '{command}'")
-    values = _parse_source(source)
-    values.update((key, _typed(key, value)) for key, value in (overrides or {}).items()
-                  if value is not None)
+    given = _parse_source(source)
+    given.update((key, value) for key, value in (overrides or {}).items() if value is not None)
+    for key in given:
+        if key not in _FIELDS:
+            raise ConfigError(f"unknown key '{key}'")
 
     # physical parameters, later defaults derived from earlier ones; the
     # carrier is checked first so a bad value is reported under its own key
     # rather than through a derived default
-    carrier = values.setdefault("carrier", 1.0)
-    _check("carrier", carrier)
-    values.setdefault("modulation", carrier / 1000.0)
-    order = values.setdefault("order", 1)
-    values.setdefault("epsilon0", order * carrier)
-    values.setdefault("delta_gap", carrier / 100.0)
-    values.setdefault("amplitude", 0.1 * carrier)
+    def physical(key, default, rule=None):
+        return _value(key, given[key], rule) if key in given else default
+
+    carrier = physical("carrier", 1.0, "> 0")
+    order = physical("order", 1)
     try:
-        params = SystemParams(**{f.name: values.pop(f.name) for f in fields(SystemParams)})
+        params = SystemParams(epsilon0=physical("epsilon0", order * carrier),
+                              delta_gap=physical("delta_gap", carrier / 100.0),
+                              amplitude=physical("amplitude", 0.1 * carrier), carrier=carrier,
+                              modulation=physical("modulation", carrier / 1000.0), order=order)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    values.setdefault("t_end", 5.0 * math.pi / params.modulation)
 
-    fmt = values.pop("format", None)
-    if fmt is None:
+    values = {"t_end": 5.0 * math.pi / params.modulation}
+    for f in fields(RunConfig)[2:]:
+        value = given.get(f.name, values.get(f.name, f.default))
+        values[f.name] = None if value is None else _value(f.name, value, f.metadata["rule"],
+                                                           values)
+    if values["format"] is None:
         raise ConfigError("missing key 'format' (csv or json)")
-    if not values.get("out"):
+    if not values["out"]:
         raise ConfigError("missing key 'out' (output path)")
-    config = RunConfig(command=command, params=params, fmt=fmt, **values)
-    for f in fields(config):
-        if f.name in _KEYS:
-            _check(f.name, getattr(config, f.name), config)
-    return config
+    return RunConfig(command=command, params=params, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +182,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_rows(config: RunConfig, header: list[str], rows: list[tuple]) -> None:
-    if config.fmt == "csv":
+    if config.format == "csv":
         lines = [",".join(header)]
         lines.extend(",".join(_cell(v, "csv") for v in row) for row in rows)
         _write_text(config.out, "\n".join(lines) + "\n")
@@ -210,7 +194,7 @@ def _write_rows(config: RunConfig, header: list[str], rows: list[tuple]) -> None
 
 
 def _write_values(config: RunConfig, values: list[float]) -> None:
-    if config.fmt == "csv":
+    if config.format == "csv":
         _write_text(config.out, "".join(format_real(v) + "\n" for v in values))
     else:
         body = ", ".join(format_real(v) for v in values)
@@ -221,15 +205,24 @@ def _write_values(config: RunConfig, values: list[float]) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
+def _check_rows(config: RunConfig, key: str, count, rows: str) -> None:
+    """Refuse, naming ``key``, a run of more than ``MAX_ROWS`` output rows."""
+    if count > MAX_ROWS:
+        raise ConfigError(f"invalid value for '{key}': {getattr(config, key)} gives more than "
+                          f"{MAX_ROWS} {rows}")
+
+
+def _sample_times(config: RunConfig) -> np.ndarray:
+    _check_rows(config, "samples", config.samples, "rows")
+    return np.linspace(0.0, config.t_end, config.samples)
+
+
 def _run_sweep(config: RunConfig) -> None:
-    span = (config.ratio_max - config.ratio_min) / config.ratio_step + 1e-9
-    if span >= MAX_SWEEP_POINTS:
-        raise ConfigError(f"invalid value for 'ratio_step': {config.ratio_step} gives more than "
-                          f"{MAX_SWEEP_POINTS} points on [ratio_min, ratio_max]")
+    count = np.floor((config.ratio_max - config.ratio_min) / config.ratio_step + 1e-9) + 1
+    _check_rows(config, "ratio_step", count, "points on [ratio_min, ratio_max]")
     params = config.params
     check_domain(params.order, config.ratio_max)
-    count = int(math.floor(span)) + 1
-    ratios = [config.ratio_min + i * config.ratio_step for i in range(count)]
+    ratios = [config.ratio_min + i * config.ratio_step for i in range(int(count))]
     energies = [quasienergy(replace(params, amplitude=r * params.carrier)) for r in ratios]
     header = ["ratio", f"quasienergy_{params.order}"]
     _write_rows(config, header, list(zip(ratios, energies)))
@@ -237,7 +230,7 @@ def _run_sweep(config: RunConfig) -> None:
 
 
 def _run_dynamics(config: RunConfig) -> None:
-    times = np.linspace(0.0, config.t_end, config.samples)
+    times = _sample_times(config)
     if config.method == "analytic":
         trace = analytic_populations(config.params, times)
     else:
@@ -257,6 +250,8 @@ def _run_zeros(config: RunConfig) -> None:
 
 
 def _run_periodicity(config: RunConfig) -> None:
+    _check_rows(config, "n_max", config.m_max * config.n_max,
+                f"candidates with m_max = {config.m_max}")
     rows = []
     for m in range(1, config.m_max + 1):
         for n in range(1, config.n_max + 1):
@@ -267,14 +262,14 @@ def _run_periodicity(config: RunConfig) -> None:
 
 
 def _run_spectrum(config: RunConfig) -> None:
-    lines = spectral_lines(config.params, weight_threshold=config.weight_threshold,
-                           index_cutoff=config.index_cutoff)
+    lines = spectral_lines(config.params, weight_threshold=config.weight_threshold)
+    _check_rows(config, "weight_threshold", len(lines), "lines")  # known only once built
     _write_rows(config, ["m", "n", "frequency", "weight"], lines.tolist())
     print(f"spectrum: wrote {len(lines)} lines to {config.out}")
 
 
 def _run_oracle(config: RunConfig) -> None:
-    times = np.linspace(0.0, config.t_end, config.samples)
+    times = _sample_times(config)
     analytic = analytic_populations(config.params, times)
     # the Hadamard maps the z configuration onto the x one: the x run starts
     # from the image of |down> and its |down> population is read back through it
@@ -323,15 +318,16 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (_, help_text) in _COMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
         sp.add_argument("--config", help="flat key = value config file")
-        for key, (kind, rule) in _KEYS.items():
-            sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind,
+        for key, f in _FIELDS.items():
+            rule = f.metadata.get("rule")
+            sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=_TYPES[key],
                             choices=rule if isinstance(rule, tuple) else None)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {key: getattr(args, key) for key in _KEYS}
+    overrides = {key: getattr(args, key) for key in _FIELDS}
     source = ""
     try:
         if args.config:

@@ -155,20 +155,9 @@ class PopulationTrace:
     p2: np.ndarray
 
     def __post_init__(self):
-        self._fill(_validate_times(self.times), self.p1, self.p2)
-
-    @classmethod
-    def _at_checked_times(cls, times: np.ndarray, p1, p2) -> PopulationTrace:
-        """The trace at ``times`` that ``_validate_times`` has returned,
-        built without checking them again."""
-        trace = cls.__new__(cls)
-        trace._fill(times, p1, p2)
-        return trace
-
-    def _fill(self, times: np.ndarray, p1, p2):
-        self.times = times
-        self.p1 = np.asarray(p1, dtype=float)
-        self.p2 = np.asarray(p2, dtype=float)
+        self.times = _validate_times(self.times)
+        self.p1 = np.asarray(self.p1, dtype=float)
+        self.p2 = np.asarray(self.p2, dtype=float)
         if not self.times.shape == self.p1.shape == self.p2.shape:
             raise ValueError("times, p1, p2 must be 1-d arrays of equal length")
         if not (np.all(self.p1 >= -1e-9) and np.all(self.p1 <= 1 + 1e-9)):
@@ -208,8 +197,8 @@ def analytic_populations(params: SystemParams, times) -> PopulationTrace:
             f"{params.detuning:.3g} exceeds {DETUNING_RATIO_WARN:.0%} of epsilon0"
         )
     arr = _validate_times(times)
-    gamma = build_phase_decomposition(params)._gamma(arr)
-    return PopulationTrace._at_checked_times(arr, np.cos(gamma) ** 2, np.sin(gamma) ** 2)
+    gamma = build_phase_decomposition(params).gamma_at(arr)
+    return PopulationTrace(times=arr, p1=np.cos(gamma) ** 2, p2=np.sin(gamma) ** 2)
 
 
 def rabi_frequency(params: SystemParams, t):

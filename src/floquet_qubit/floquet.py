@@ -115,10 +115,7 @@ class PhaseDecomposition:
         """Accumulated phase gamma_N(t) = (delta_gap/2) int_0^t J_N(w(tau)) dtau
         as slope * t + periodic_part(t), for a time t >= 0 or an array of
         them, each finite (``model.check_times``); no quadrature."""
-        return self._gamma(check_times("t", t, ">=", 0.0))
-
-    def _gamma(self, t):
-        """``gamma_at`` of a float or float array already checked."""
+        t = check_times("t", t, ">=", 0.0)
         return self.slope * t + self.periodic_part(t)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 from scipy import special
 
-__all__ = ["bessel_j", "bessel_products", "bessel_series", "check_domain"]
+__all__ = ["bessel_j", "bessel_products", "bessel_series", "bessel_span", "check_domain"]
 
 MAX_ORDER = 200
 MAX_ARGUMENT = 1.0e3
@@ -37,17 +37,23 @@ def check_domain(order: int, ratio: float) -> None:
         raise ValueError(f"Bessel argument 2 r = {2.0 * ratio!r} outside <= {MAX_ARGUMENT}")
 
 
+def bessel_span(ratio: float) -> int:
+    """The span past which |J_k(r)| < 1e-18, for r = ``ratio`` <= MAX_ARGUMENT / 2;
+    the sums over k of ``bessel_products`` and ``analysis.spectral_lines``
+    stop at |k| = span."""
+    return int(ratio + 15.0 * np.cbrt(ratio) + 20.0)
+
+
 def bessel_products(order: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies j = 2k - N and products J_k(r) J_{N-k}(r) of the expansion
     J_N(2 r cos u) = sum_k J_k(r) J_{N-k}(r) cos(j u) (Jacobi-Anger, DLMF 10.12).
 
-    ``order`` is N >= 0.  |J_k(r)| < 1e-18 past |k| = span for every
-    r <= MAX_ARGUMENT / 2, so the sum stops there; every factor has
-    magnitude <= 1 and no term can overflow.  Raises ``ValueError`` outside
-    ``check_domain``.
+    ``order`` is N >= 0, and the sum stops where ``bessel_span`` cuts the
+    Bessel tail; every factor has magnitude <= 1 and no term can overflow.
+    Raises ``ValueError`` outside ``check_domain``.
     """
     check_domain(order, ratio)
-    span = int(ratio + 15.0 * np.cbrt(ratio) + 20.0)
+    span = bessel_span(ratio)
     k = np.arange(-span, order + span + 1)
     bessel = special.jv(k, ratio)
     return 2 * k - order, bessel * bessel[::-1]

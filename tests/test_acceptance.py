@@ -337,8 +337,7 @@ def test_criterion_9_xconfig():
 
 def test_criterion_10_spectral_catalog():
     params = resonant_params(1, 0.7, 1e-2, 1e-3)
-    cutoff = int(math.ceil(params.drive_ratio + 40))
-    lines = spectral_lines(params, weight_threshold=0.0, index_cutoff=cutoff)
+    lines = spectral_lines(params, weight_threshold=0.0)
     total = sum(line.weight ** 2 / 4 for line in lines)
     ok = check(abs(total - 1.0) <= 1e-8, "criterion 10: weight normalisation",
                f"sum of squared half-weights {total:.12f} within 1e-8 of 1")

@@ -279,12 +279,27 @@ def test_spectral_spacing_in_n():
         assert gap == pytest.approx(2 * p.modulation, rel=1e-9)
 
 
+def _sum_rules(lines, ratio):
+    """The signed half-weights J_n J_{m-n} of a catalogue, and their squares,
+    each summed over its lines."""
+    half = lines.weight / 2.0
+    sign = np.sign(special.jv(lines.n, ratio) * special.jv(lines.m - lines.n, ratio))
+    return float(np.sum(sign * half)), float(np.sum(half ** 2))
+
+
 def test_spectral_weight_normalisation():
     p = make_params(order=1, ratio=0.7)
-    cutoff = int(math.ceil(p.drive_ratio)) + 40
-    lines = spectral_lines(p, weight_threshold=0.0, index_cutoff=cutoff)
+    lines = spectral_lines(p, weight_threshold=0.0)
     total = sum(line.weight ** 2 / 4 for line in lines)
     assert total == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("ratio", [30.0, 200.0])
+def test_spectral_sum_rules_at_a_strong_drive(ratio):
+    # only the lines below the default threshold are missing from the sums
+    signed, squares = _sum_rules(spectral_lines(make_params(ratio=ratio)), ratio)
+    assert abs(signed - 1.0) <= 1e-6
+    assert abs(squares - 1.0) <= 1e-12
 
 
 def test_spectral_threshold_filters():
@@ -303,32 +318,45 @@ def test_spectral_empty_catalogue_keeps_its_fields():
     assert lines.weight.shape == (0,)
 
 
-@pytest.mark.parametrize("cutoff", [0, None, 100])
-@pytest.mark.parametrize("threshold", [0.0, 1e-8, 1e-3])
-def test_spectral_lines_match_reference_loop(threshold, cutoff):
-    # plain double loop over scipy's jv: same (m, n) order, and every weight
-    # and frequency equal to the last bit
-    for order, ratio in ((1, 0.0), (1, 0.7), (2, 3.3), (3, 10.9)):
+_SPECTRA = ((1, 0.0), (1, 0.7), (2, 3.3), (3, 10.9), (1, 30.0))
+
+
+@pytest.mark.parametrize("threshold", [1e-3, 1e-8, 1e-12])
+def test_spectral_lines_match_reference_loop(threshold):
+    # plain double loop over scipy's jv on an (n, m - n) box wider than any
+    # line at the threshold, ordered by m, then n: every weight and
+    # frequency equal to the last bit
+    for order, ratio in _SPECTRA:
         p = make_params(order=order, ratio=ratio)
-        c = int(math.ceil(ratio)) + 20 if cutoff is None else cutoff
+        c = int(2 * ratio) + 30
+        bessel = {k: float(special.jv(k, ratio)) for k in range(-c, c + 1)}
         stark = 2.0 * quasienergy(p)
         ref = []
-        for m in range(-c, c + 1):
-            for n in range(-c, c + 1):
-                weight = 2.0 * abs(float(special.jv(n, ratio)) * float(special.jv(m - n, ratio)))
+        for n in range(-c, c + 1):
+            for k in range(-c, c + 1):
+                weight = 2.0 * abs(bessel[n] * bessel[k])
                 if weight >= threshold:
+                    m = n + k
                     ref.append((m, n, p.epsilon0 + m * p.carrier + stark
                                 + (2 * n - m) * p.modulation, weight))
-        lines = spectral_lines(p, weight_threshold=threshold, index_cutoff=cutoff)
+        ref.sort(key=lambda line: line[:2])
+        lines = spectral_lines(p, weight_threshold=threshold)
         assert [tuple(line) for line in lines] == ref
 
 
+@pytest.mark.parametrize("order, ratio", _SPECTRA)
+def test_spectral_lines_keep_every_order_at_threshold_zero(order, ratio):
+    lines = spectral_lines(make_params(order=order, ratio=ratio), weight_threshold=0.0)
+    keys = list(zip(lines.m.tolist(), lines.n.tolist()))
+    assert keys == sorted(set(keys))
+    signed, squares = _sum_rules(lines, ratio)
+    assert abs(signed - 1.0) <= 1e-13 and abs(squares - 1.0) <= 1e-13
+
+
 def test_spectral_rejects_inputs_past_the_bessel_domain():
-    with pytest.raises(ValueError, match="index_cutoff"):
-        spectral_lines(make_params(), index_cutoff=101)
     for ratio in (500.5, 1000.5):
         with pytest.raises(ValueError, match="Bessel argument"):
-            spectral_lines(make_params(ratio=ratio), index_cutoff=5)
+            spectral_lines(make_params(ratio=ratio))
 
 
 @pytest.mark.parametrize("threshold", [-1.0, math.nan])

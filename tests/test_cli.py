@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import floquet_qubit
 from floquet_qubit import cli
 from floquet_qubit.cli import ConfigError, format_real, main, parse_config
+from floquet_qubit.model import SystemParams
 
 
 BASE_FILE = """
@@ -27,7 +29,7 @@ def test_parse_round_trip():
     config = parse_config(BASE_FILE, command="dynamics")
     assert config.params.epsilon0 == 1.0
     assert config.params.modulation == 1e-3
-    assert config.fmt == "csv"
+    assert config.format == "csv"
     assert config.command == "dynamics"
 
 
@@ -78,18 +80,23 @@ def test_flags_override_file():
 
 
 def test_flags_alone_match_file_form():
-    # every key, each off its default
+    # every key, each off its default: every SystemParams field, and every
+    # RunConfig field but the command and the params it holds
     overrides = dict(epsilon0=2.0, delta_gap=0.02, amplitude=0.3, carrier=1.0,
                      modulation=2e-3, order=2, tol=1e-7, ratio_min=0.5, ratio_max=4.0,
                      ratio_step=0.25, t_end=300.0, samples=11, method="reduced", axis="x",
-                     m_max=3, n_max=4, weight_threshold=1e-6, index_cutoff=5,
-                     format="json", out="x.json")
-    assert set(overrides) == set(cli._KEYS)
+                     m_max=3, n_max=4, weight_threshold=1e-6, format="json", out="x.json")
+    keys = {f.name for f in fields(SystemParams) + fields(cli.RunConfig)} - {"command", "params"}
+    assert set(overrides) == keys
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in overrides.items()]
+    assert {k for k, v in vars(cli._build_parser().parse_args(["sweep", *flags])).items()
+            if v is not None} == keys | {"command"}
     source = "".join(f"{key} = {value}\n" for key, value in overrides.items())
     from_flags = parse_config("", overrides=overrides, command="dynamics")
     from_file = parse_config(source, command="dynamics")
     assert from_flags == from_file
-    assert from_file.index_cutoff == 5 and from_file.axis == "x" and from_file.fmt == "json"
+    assert from_file.weight_threshold == 1e-6 and from_file.axis == "x"
+    assert from_file.format == "json"
     assert from_file.params.order == 2 and from_file.t_end == 300.0
 
 
@@ -107,7 +114,7 @@ _VALID = {"format": "csv", "out": "x.csv"}
     ({"m_max": 0}, "m_max"),
     ({"n_max": 0}, "n_max"),
     ({"weight_threshold": -1.0}, "weight_threshold"),
-    ({"index_cutoff": -1}, "index_cutoff"),
+    ({"index_cutoff": 5}, "index_cutoff"),  # gone: spectral_lines derives its range
     ({"method": "exact"}, "method"),
     ({"axis": "y"}, "axis"),
     ({"format": "xml"}, "format"),
@@ -128,7 +135,7 @@ _VALID = {"format": "csv", "out": "x.csv"}
     ({"order": 1.5}, "order"),
     ({"samples": 2.7}, "samples"),
     ({"m_max": 1.5}, "m_max"),
-    ({"index_cutoff": 0.5}, "index_cutoff"),
+    ({"n_max": 1.5}, "n_max"),
     ({"samples": math.nan}, "samples"),
 ])
 def test_invalid_value_is_named(overrides, key):
@@ -368,6 +375,46 @@ def test_cli_rejects_unbounded_windows(tmp_path, capsys, argv, key):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dynamics", "--samples", "1000000000000"],
+     "'samples': 1000000000000 gives more than 1000000 rows"),
+    (["oracle", "--samples", "1000001"], "'samples': 1000001 gives more than 1000000 rows"),
+    (["periodicity", "--m-max", "100000", "--n-max", "100000"],
+     "'n_max': 100000 gives more than 1000000 candidates with m_max = 100000"),
+], ids=["dynamics", "oracle", "periodicity"])
+def test_cli_refuses_more_rows_than_the_bound(tmp_path, monkeypatch, capsys, argv, message):
+    def refused(*args, **kwargs):
+        raise AssertionError("work started before the row bound was checked")
+
+    for name in ("analytic_populations", "evolve_full", "periodicity_residual"):
+        monkeypatch.setattr(cli, name, refused)
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out), "--format", "csv"]) == 1
+    assert capsys.readouterr().err == f"error: invalid value for {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["periodicity", "--m-max", "4", "--n-max", "4"], 16),
+    (["periodicity", "--m-max", "4", "--n-max", "5"], None),
+    (["dynamics", "--samples", "16", "--t-end", "10"], 16),
+    (["dynamics", "--samples", "17", "--t-end", "10"], None),
+    (["sweep", "--ratio-max", "0.3"], 16),
+    (["sweep", "--ratio-max", "0.32"], None),
+    (["spectrum", "--weight-threshold", "1e-3"], 13),
+    (["spectrum", "--weight-threshold", "1e-4"], None),
+], ids=["periodicity-16", "periodicity-20", "dynamics-16", "dynamics-17", "sweep-16",
+        "sweep-17", "spectrum-13", "spectrum-21"])
+def test_the_row_bound_admits_its_own_count(tmp_path, monkeypatch, capsys, argv, rows):
+    monkeypatch.setattr(cli, "MAX_ROWS", 16)
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out), "--format", "csv"]) == (0 if rows else 1)
+    if rows:
+        assert len(out.read_text().splitlines()) == rows + 1
+    else:
+        assert "gives more than 16 " in capsys.readouterr().err and not out.exists()
 
 
 def test_dynamics_past_the_fold_fails_cleanly(tmp_path, capsys):

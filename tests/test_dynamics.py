@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.linalg import expm
 
-from floquet_qubit import dynamics, floquet
+from floquet_qubit import dynamics
 from floquet_qubit.dynamics import (
     AmplitudePair,
     IntegrationError,
@@ -92,24 +92,6 @@ def test_analytic_full_inversion_at_quarter_phase():
     trace = analytic_populations(p, [t_star])
     assert trace.p1[0] < 1e-12
     assert trace.p2[0] > 1.0 - 1e-12
-
-
-def test_analytic_checks_its_times_once(monkeypatch):
-    # one pass of model.check_times, whichever module calls it, and the
-    # trace it returns is the one PopulationTrace would build
-    calls = []
-    for module in (dynamics, floquet):
-        def counted(*args, check=module.check_times):
-            calls.append(args[0])
-            return check(*args)
-        monkeypatch.setattr(module, "check_times", counted)
-    p = make_params(order=2, ratio=0.7)
-    times = np.linspace(0.0, 3.0 * p.period, 301)
-    trace = analytic_populations(p, times)
-    assert calls == ["times"]
-    rebuilt = PopulationTrace(times=trace.times, p1=trace.p1, p2=trace.p2)
-    for name in ("times", "p1", "p2"):
-        assert np.array_equal(getattr(trace, name), getattr(rebuilt, name))
 
 
 def test_analytic_rejects_detuned_params():

@@ -258,8 +258,6 @@ _ARGUMENTS = [
     ("solve_periodic_ratio", "n", lambda v: solve_periodic_ratio(make_params(), 1, v), 0),
     ("trace_periodicity_check", "period", lambda v: trace_periodicity_check(_TRACE, v), 0.0),
     ("trace_periodicity_check", "reps", lambda v: trace_periodicity_check(_TRACE, 1.0, v), 0),
-    ("spectral_lines", "index_cutoff",
-     lambda v: spectral_lines(make_params(), index_cutoff=v), -1),
     ("spectral_lines", "weight_threshold",
      lambda v: spectral_lines(make_params(), weight_threshold=v), -1.0),
     ("xconfig_spectral_lines", "omega0", lambda v: xconfig_spectral_lines(v, 0.01, 2), 0.0),
