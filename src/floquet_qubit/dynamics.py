@@ -3,7 +3,7 @@ paper's form and in a corrected form, and the full Schrodinger oracle for
 both coupling configurations.
 
 Every evolution here is a 2x2 equation i y' = (b(t).sigma) y with a real
-field b, given as the pair (w, z) = (b_x + i b_y, b_z), and one kernel
+field b = (b_x, 0, b_z), given as the pair (b_x, b_z), and one kernel
 propagates them all: the sixth-order Magnus method of Blanes, Casas, Oteo &
 Ros (Phys. Rep. 470, 151 (2009)).  A step of length h is exp(-i c.sigma),
 with b1, b2, b3 the field at the step's three Gauss-Legendre nodes
@@ -15,51 +15,55 @@ C1, alpha2 + C2]/240 = -i c.sigma turn into vectors, because
 [-i u.sigma, -i v.sigma] = -i (2 u x v).sigma: with p = b2,
 q = (sqrt(15)/3)(b3 - b1), r = (10/3)(b3 - 2 b2 + b1) and k = 2 h p x q,
 c = h (p + r/12 + (h/120) (k - r - 20 p) x (q - (h/30) p x (2 r + k))).
-In the (w, z) form, u x v is (i (z_u w_v - z_v w_u), Im(conj(w_u) w_v)).
-A field component that does not change in time is passed as a constant.
-Every SU(2) matrix [[alpha, -conj(beta)], [beta, conj(alpha)]] is carried
-as its Cayley-Klein pair (alpha, beta), its first column; a step is
-(cos|c| - i sinc z_c, -i sinc w_c) with sinc = sin|c| / |c|, so the
-propagation is unitary by construction.  The chain starts at the identity
-(1, 0), so its products are the pairs of the propagator U(t) at the
-samples; their first column is the state from |down>, and an ``initial``
-state psi is applied once, as U psi.
+p, q and r lie in the xz plane, so k = 2 h (p_z q_x - p_x q_z) lies along
+y, and c is real arithmetic on three components.  A field component that
+does not change in time is passed as a constant.  Every SU(2) matrix
+[[alpha, -conj(beta)], [beta, conj(alpha)]] is carried as its Cayley-Klein
+pair (alpha, beta), its first column; a step is
+(cos|c| - i sinc c_z, sinc c_y - i sinc c_x) with sinc = sin|c| / |c|, so
+the propagation is unitary by construction.  The chain starts at the
+identity (1, 0), so its products are the pairs of the propagator U(t) at
+the samples; their first column is the state from |down>, and an
+``initial`` state psi is applied once, as U psi.
 
 A field that repeats after a period T is propagated over half a period
-only.  By Floquet's theorem U(nT + tau) = U(tau) U(T)^n (Shirley, Phys.
-Rev. 138, B979 (1965)), and every field given a period here is real
-(b_y = 0) and even about T/2, b(T - t) = b(t), so time reversal gives
-U(T) = U(T/2)^T U(T/2) and, for tau > T/2, U(tau) = conj(U(T - tau)) U(T).
-The Gauss-Legendre Magnus step is symmetric in time, so this is the same
-discretisation as a chain over the whole period.  Each sample t is folded
-into tau = t - nT in (0, T]; a tau past T/2 is mirrored to T - tau and
-takes conj(U(T - tau)) U(T)^(n+1).  In pair form the transpose of
-(alpha, beta) is (alpha, -conj beta) and the conjugate is
-(conj alpha, conj beta).  U(T)^n is closed-form,
+only, once the window reaches T/2.  By Floquet's theorem U(nT + tau) =
+U(tau) U(T)^n (Shirley, Phys. Rev. 138, B979 (1965)), and every field
+given a period here is even about T/2, b(T - t) = b(t), so, the field
+being real, time reversal gives U(T) = U(T/2)^T U(T/2) and, for
+tau > T/2, U(tau) = conj(U(T - tau)) U(T).  The Gauss-Legendre Magnus step
+is symmetric in time, so this is the same discretisation as a chain over
+the whole period.  Each sample t is folded into tau = t - nT in (0, T]; a
+tau past T/2 is mirrored to T - tau and takes conj(U(T - tau)) U(T)^(n+1).
+In pair form the transpose of (alpha, beta) is (alpha, -conj beta) and the
+conjugate is (conj alpha, conj beta).  U(T)^n is closed-form,
 (cos n theta + i s Im alpha, s beta) with cos theta = Re alpha,
 sin theta = |(Im alpha, beta)| and s = sin(n theta) / sin(theta), the
 Chebyshev U_{n-1}(cos theta).  The reduced equations repeat after
 pi/delta, the corrected ones after pi/delta for even N and 2 pi/delta for
 odd N (the signed envelope flips sign), and the full Hamiltonian, when
-omega_0 = q delta, after pi/delta for odd q and 2 pi/delta for even q.  A
-full field with omega_0/delta no integer (such as criterion 8's random
-delta), or a window shorter than T, folds nothing: the chain covers
-[0, t_end] and every n is 0.  Folded times within 4 eps t_end of each
-other (the rounding of the samples, of t - nT and of T - tau) share one
-grid point, and those that close to either end of the chain are that end,
-so a sample at a whole or half period adds no segment.  A window with
-4 eps t_end >= T, where that rounding spans the period, raises
-``IntegrationError``, and so does a full window with 4 eps t_end at or
-past the carrier period 2 pi/omega_0, the finest edge spacing, before any
-edge is built.
+omega_0 = q delta, after pi/delta for odd q and 2 pi/delta for even q.
+For a window in [T/2, T) every n is 0.  A full field with omega_0/delta no
+integer (such as criterion 8's random delta), or a window shorter than
+T/2, folds nothing: the chain covers [0, t_end] and every n is 0.  Folded
+times within 4 eps t_end of each other (the rounding of the samples, of
+t - nT and of T - tau) share one grid point, and those that close to
+either end of the chain are that end, so a sample at a whole or half
+period adds no segment.  A window whose rounding 4 eps t_end reaches the
+folded period or the edge spacing, whichever is shorter, raises
+``IntegrationError`` before any edge is built: the folded samples, or the
+edges, would merge.
 
 The chain, [0, T/2] or [0, t_end], is cut into segments at every folded
-sample, every node of cos(delta t) (the kink of the paper's |cos|
-envelope) and, for the full Hamiltonian, every carrier period.  Each
-segment takes the same number of equal steps, multiplied pairwise; the
-segments are then chained in time order, and each sample takes its power
-of U(T).  The steps per segment double, from 1, until two successive runs
-differ by at most 63 tol at every sample, a sample's difference being the
+sample and at every multiple of an edge spacing: the carrier period
+2 pi/omega_0 for the full Hamiltonian, none for the reduced and corrected
+equations.  Each field is smooth between those edges: the kink of the
+paper's |cos(delta t)| envelope sits at T/2 + nT, which is the folded
+chain's end or, for a window shorter than T/2, past it.  Each segment
+takes the same number of equal steps, multiplied pairwise; the segments
+are then chained in time order, and each sample takes its power of U(T).
+The steps per segment double, from 1, until two successive runs differ
+by at most 63 tol at every sample, a sample's difference being the
 2-norm of the change of the composed U|down>, which a change of basis
 keeps (the Hadamard between the z and x axes, so both runs stop at the
 same doubling).  The runs of 1 and 2 steps are built together, in one
@@ -276,11 +280,12 @@ def _evolve_two_amplitude(params: SystemParams, times, tol: float,
     """i c1' = -(delta_gap/2) J_N(w) e^{-i alpha} c2 and its mirror, with
     w = 2 r cos(delta t) (``signed``) or 2 r |cos(delta t)| and
     alpha = detuning * t - N pi; as a generator b.sigma on (c1, c2), the
-    field (w, z) = (b_x + i b_y, b_z) is (g exp(i detuning t), 0) with
+    field is g (cos(detuning t), sin(detuning t), 0) with
     g = (-1)^(N+1) (delta_gap/2) J_N(w), the signed tunnelling amplitude.
     It is propagated in the frame rotating with R = exp(-i detuning t
-    sigma_z / 2), where the field is the real (g, -detuning/2), and the
-    amplitudes are turned back by R at the samples."""
+    sigma_z / 2), where the field is the real (b_x, b_z) = (g,
+    -detuning/2), and the amplitudes are turned back by R at the
+    samples."""
     # g as a Chebyshev series in t = cos(delta t) or |cos(delta t)|, built once
     series = -0.5 * params.delta_gap * (-1.0) ** params.order * bessel_series(
         params.order, params.drive_ratio)
@@ -293,7 +298,7 @@ def _evolve_two_amplitude(params: SystemParams, times, tol: float,
     # 2 pi/delta for odd N, where it flips sign; both are even about half
     # their period
     period = params.period * (2.0 if signed and params.order % 2 else 1.0)
-    amps = _propagate(field, params, times, tol, period, carrier_edges=False, initial=initial)
+    amps = _propagate(field, times, tol, period, None, initial)
     turn = np.exp(-0.5j * detuning * np.asarray(times, dtype=float))
     return amps * np.array([turn, np.conj(turn)])
 
@@ -307,18 +312,19 @@ def evolve_full(params: SystemParams, axis: str, times, tol: float = DEFAULT_TOL
     """Integrate i d|psi>/dt = H(t)|psi> exactly; returns rows (c1, c2).
 
     H(t) is ``model.hamiltonian(params, axis, t)`` on the (c1, c2) = (down,
-    up) ordering, i.e. b(t).sigma with the field (w, z) = (b_x + i b_y, b_z)
-    equal to (-delta_gap/2, e(t)) on the z axis and (-e(t), delta_gap/2) on
-    the x axis, e(t) = (epsilon0 + f(t))/2.
+    up) ordering, i.e. b(t).sigma with the real field (b_x, b_z) equal to
+    (-delta_gap/2, e(t)) on the z axis and (-e(t), delta_gap/2) on the x
+    axis, e(t) = (epsilon0 + f(t))/2.
     It is propagated by the Magnus kernel of the module docstring, with step
-    edges at every sample time, every node of cos(delta t) and every carrier
-    period, so each segment spans at most one carrier period whatever the
-    sampling.  When omega_0 = q delta (within 4 eps) the field repeats after
-    pi/delta for odd q and 2 pi/delta for even q, and is even about the
-    middle of that period, so only its first half is propagated, the samples
-    folded into it and composed with powers of the period's propagator; any
-    other ratio is propagated over the whole window, and raises
-    ``IntegrationError`` when 4 eps t_end reaches the carrier period.
+    edges at every sample time and every carrier period 2 pi/omega_0, so
+    each segment spans at most one carrier period whatever the sampling.
+    When omega_0 = q delta (within 4 eps) the field repeats after pi/delta
+    for odd q and 2 pi/delta for even q, and is even about the middle of
+    that period, so a window that reaches half of it propagates only that
+    half, the samples folded into it and composed with powers of the
+    period's propagator; any other ratio, or a shorter window, is
+    propagated over the whole window.  ``IntegrationError`` is raised when
+    4 eps t_end reaches the folded period or the carrier period.
     ``tol`` bounds the estimated global error of the amplitudes
     at every sample, as a 2-norm, from every initial state;
     ``IntegrationError`` is raised when rounding or the budget of 2^14 steps
@@ -340,7 +346,7 @@ def evolve_full(params: SystemParams, axis: str, times, tol: float = DEFAULT_TOL
     if abs(math.remainder(params.carrier, params.modulation)) <= 4.0 * _EPS * params.carrier:
         even = abs(math.remainder(params.carrier, 2.0 * params.modulation)) < params.modulation / 2
         period = params.period * (2.0 if even else 1.0)
-    return _propagate(field, params, times, tol, period, carrier_edges=True, initial=initial)
+    return _propagate(field, times, tol, period, 2.0 * math.pi / params.carrier, initial)
 
 
 # ---------------------------------------------------------------------------
@@ -348,53 +354,49 @@ def evolve_full(params: SystemParams, axis: str, times, tol: float = DEFAULT_TOL
 # ---------------------------------------------------------------------------
 # An SU(2) matrix [[alpha, -conj(beta)], [beta, conj(alpha)]] is stored as its
 # first column (alpha, beta), its Cayley-Klein pair; arrays of them are complex
-# with the pair on axis 0.  A field b enters as (w, z) = (b_x + i b_y, b_z).
+# with the pair on axis 0.  A field b enters as the real pair (b_x, b_z), b_y = 0.
 
-def _propagate(field, params: SystemParams, times, tol: float, period: float | None,
-               carrier_edges: bool, initial: AmplitudePair | None) -> np.ndarray:
+def _propagate(field, times, tol: float, period: float | None, spacing: float | None,
+               initial: AmplitudePair | None) -> np.ndarray:
     """Amplitude rows (c1, c2) at ``times`` of i y' = (b(t).sigma) y: U(t) psi
     for psi = ``initial``, which must have unit norm within 1e-12, or for
     None the pairs of the propagator U(t) itself, U(0) = 1, whose first
     column is the state from |down>.  ``times``, ``tol`` and ``initial``
-    are checked before anything is propagated.  ``field(t)`` returns (w, z)
-    for an array of times, each an array or a constant, and repeats after
-    ``period`` (None if it does not); a field given a period must be real
-    (w real, b_y = 0) and even about half of it, field(T - t) = field(t).
-    See the module docstring for the fold, the segments and the step
-    doubling.
+    are checked before anything is propagated.  ``field(t)`` returns the
+    real pair (b_x, b_z) for an array of times, each an array or a
+    constant.  It must be smooth between the samples and the multiples of
+    ``spacing`` (None for no such edges), and, if it repeats after
+    ``period`` (None if it does not), even about half of it,
+    field(T - t) = field(t), and smooth on (0, T/2).  See the module
+    docstring for the fold, the segments and the step doubling.
     """
     arr = _validate_times(times)
     check_real("tol", tol, ">", 0.0)
     if initial is not None and not abs(initial.norm - 1.0) <= 1e-12:
         raise ValueError(f"initial must have unit norm within 1e-12, got {initial.norm!r}")
     t_end = arr[-1]
-    # t = n T + tau with tau in (0, T]; no period, or a window within one,
-    # takes T = t_end and n = 0 everywhere
-    span = t_end if period is None else min(period, t_end)
+    # a field folds from half its period on: the chain stops at T/2 and a
+    # sample past it takes U(tau) = conj(U(T - tau)) U(T)
+    folded = period is not None and t_end >= 0.5 * period
+    span = period if folded else t_end
+    end = 0.5 * span if folded else span
     # points within a few ulps of t_end (the rounding of the samples and of
     # t - n T) share one grid point, and those next to 0 or the end of the
-    # chain (or a node a hair past it) are 0 or that end
+    # chain are 0 or that end
     merge = 4.0 * _EPS * t_end
-    if 0.0 < span <= merge:
-        raise IntegrationError(f"window t_end = {t_end:g} is too long to fold: the rounding of "
-                               f"its times, {merge:.1e}, reaches the period {span:.6g}")
-    if carrier_edges and 2.0 * math.pi / params.carrier <= merge:
+    scale = min(span if folded else math.inf, spacing or math.inf)
+    if scale <= merge:
         raise IntegrationError(f"window t_end = {t_end:g} is too long: the rounding of its "
-                               f"times, {merge:.1e}, reaches the carrier period "
-                               f"{2.0 * math.pi / params.carrier:.6g}")
-    n = np.maximum(np.ceil(arr / span) - 1.0, 0.0) if span > 0.0 else np.zeros(arr.size)
+                               f"times, {merge:.1e}, reaches its period or edge spacing "
+                               f"{scale:.6g}")
+    # t = n T + tau with tau in (0, T]; a window that does not fold has n = 0
+    n = np.maximum(np.ceil(arr / span) - 1.0, 0.0) if folded else np.zeros(arr.size)
     tau = arr - n * span
-    # a folded field is even about T/2, so the chain stops there and a
-    # sample past it takes U(tau) = conj(U(T - tau)) U(T)
-    folded = span == period
-    end = 0.5 * span if folded else span
     back = tau > end
     tau[back] = span - tau[back]
-    edges = [[0.0, end], tau,
-             np.arange(0.5, params.modulation * end / math.pi) * math.pi / params.modulation]
-    if carrier_edges:
-        edges.append(np.arange(1.0, params.carrier * end / (2.0 * math.pi)) * 2.0 * math.pi
-                     / params.carrier)
+    edges = [[0.0, end], tau]
+    if spacing is not None:
+        edges.append(np.arange(1.0, end / spacing) * spacing)
     points = np.clip(np.concatenate(edges), 0.0, end)
     points[points <= merge] = 0.0
     points[points >= end - merge] = end
@@ -499,46 +501,43 @@ def _segment_propagators(field, edges: np.ndarray, levels: tuple) -> np.ndarray:
     return (v / norm[..., None]).reshape(2, len(levels), -1).view(complex)
 
 
-def _cross(wu, zu, wv, zv):
-    """u x v for u = (wu, zu) and v = (wv, zv) in the (w, z) form."""
-    return 1j * (zu * wv - zv * wu), np.imag(np.conj(wu) * wv)
-
-
-def _magnus_exponent(h, w, z):
-    """(w, z) of the sixth-order exponent
+def _magnus_exponent(h, x, z):
+    """(c_x, c_y, c_z) of the sixth-order exponent
     c = h (p + r/12 + (h/120) (k - r - 20 p) x (q - (h/30) p x (2 r + k)))
-    for the field (w, z) at a step's three nodes b1, b2, b3, each component
-    an array with one row per node or a constant, with p = b2,
-    q = (sqrt(15)/3)(b3 - b1), r = (10/3)(b3 - 2 b2 + b1) and k = 2 h p x q
-    (module docstring)."""
-    (w1, w2, w3), (z1, z2, z3) = (x if np.ndim(x) else (x, x, x) for x in (w, z))
+    for the real field (x, z) = (b_x, b_z) at a step's three nodes b1, b2,
+    b3, each component an array with one row per node or a constant, with
+    p = b2, q = (sqrt(15)/3)(b3 - b1), r = (10/3)(b3 - 2 b2 + b1) and
+    k = 2 h p x q (module docstring).  p, q and r lie in the xz plane, where
+    u x v = (0, u_z v_x - u_x v_z, 0), so k lies along y."""
+    (x1, x2, x3), (z1, z2, z3) = (b if np.ndim(b) else (b, b, b) for b in (x, z))
     s, t = math.sqrt(15.0) / 3.0, 10.0 / 3.0
-    qw, qz = s * (w3 - w1), s * (z3 - z1)
-    rw, rz = t * (w3 + w1) - 2.0 * t * w2, t * (z3 + z1) - 2.0 * t * z2
-    kw, kz = _cross(w2, z2, qw, qz)
-    h2 = 2.0 * h
-    kw, kz = h2 * kw, h2 * kz
-    vw, vz = _cross(w2, z2, 2.0 * rw + kw, 2.0 * rz + kz)
+    qx, qz = s * (x3 - x1), s * (z3 - z1)
+    rx, rz = t * (x3 + x1) - 2.0 * t * x2, t * (z3 + z1) - 2.0 * t * z2
+    k = 2.0 * h * (z2 * qx - qz * x2)
+    # m = q - (h/30) p x (2 r + k), p x (2 r + k) = (-z2 k, 2 (z2 rx - rz x2), x2 k)
     g = h / 30.0
-    ow, oz = _cross(kw - rw - 20.0 * w2, kz - rz - 20.0 * z2, qw - g * vw, qz - g * vz)
+    mx, my, mz = qx + g * (z2 * k), -(g * (z2 * (2.0 * rx) - (2.0 * rz) * x2)), qz - g * (x2 * k)
+    # c = h (p + r/12 + (h/120) l x m) with l = k - r - 20 p = (lx, k, lz)
+    lx, lz = -rx - 20.0 * x2, -rz - 20.0 * z2
     g = h / 120.0
-    return h * (w2 + rw / 12.0 + g * ow), h * (z2 + rz / 12.0 + g * oz)
+    return (h * (x2 + rx / 12.0 + g * (mz * k - lz * my)), h * (g * (lz * mx - mz * lx)),
+            h * (z2 + rz / 12.0 + g * (lx * my - k * mx)))
 
 
-def _magnus_step(w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Pairs of exp(-i c.sigma) for c = (Re w, Im w, z):
-    (cos|c| - i sinc z, -i sinc w) with sinc = sin|c| / |c|, exactly 1 at
-    |c| = 0, so exactly (1, 0) at c = 0.  The parts are written as reals
-    into one pair array: -i sinc w = sinc Im w - i sinc Re w."""
-    angle = np.sqrt(w.real ** 2 + w.imag ** 2 + z * z)
+def _magnus_step(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Pairs of exp(-i c.sigma) for c = (x, y, z):
+    (cos|c| - i sinc z, sinc y - i sinc x) with sinc = sin|c| / |c|, exactly
+    1 at |c| = 0, so exactly (1, 0) at c = 0.  The parts are written as
+    reals into one pair array."""
+    angle = np.sqrt(x * x + y * y + z * z)
     sinc = np.ones_like(angle)
     np.divide(np.sin(angle), angle, out=sinc, where=angle != 0.0)
     q = np.empty((2,) + angle.shape, dtype=complex)
     np.cos(angle, out=q[0].real)
-    np.multiply(sinc, w.imag, out=q[1].real)
+    np.multiply(sinc, y, out=q[1].real)
     np.negative(sinc, out=sinc)
     np.multiply(sinc, z, out=q[0].imag)
-    np.multiply(sinc, w.real, out=q[1].imag)
+    np.multiply(sinc, x, out=q[1].imag)
     return q
 
 

@@ -385,6 +385,26 @@ def test_unreachable_tol_raises_quickly_and_small(window, evolve, reason):
     assert peak < 64 * 2 ** 20
 
 
+def test_a_long_window_meets_tol_at_the_rounding_floor():
+    # the folded half-period chain of a criterion-3 window stalls at about
+    # 3e-13 between doublings, so tol 1e-14 is met on both axes (and 1e-15
+    # is refused, above): each within 1e-14 of its true value, so within
+    # 1e-12 + 1e-14 of the run at tol 1e-12, and the two axes agree under
+    # the Hadamard to rounding
+    p, times = _criterion_3_window()
+    coarse = evolve_full(p, "z", times, tol=1e-12)
+    x_initial = AmplitudePair(c1=complex(HADAMARD[1, 1]), c2=complex(HADAMARD[0, 1]))
+    runs = []
+    for axis, initial in (("z", None), ("x", x_initial)):
+        start = time.perf_counter()
+        runs.append(evolve_full(p, axis, times, tol=1e-14, initial=initial))
+        assert time.perf_counter() - start < 10.0
+    z, x = runs
+    assert np.max(np.linalg.norm(z - coarse, axis=0)) <= 1e-12 + 1e-14
+    up, down = HADAMARD @ np.vstack((z[1], z[0]))
+    assert max(np.max(np.abs(x[1] - up)), np.max(np.abs(x[0] - down))) <= 1e-13
+
+
 @pytest.mark.parametrize("evolve", [
     lambda p, times, initial: evolve_reduced(p, times, initial=initial),
     lambda p, times, initial: evolve_corrected(p, times, initial=initial),
@@ -511,7 +531,7 @@ def test_magnus_step_is_the_exponential():
     c = np.concatenate((np.zeros((3, 1)), rng.normal(size=(3, 40)),
                         rng.normal(size=(3, 8)) * 5.0, [[4.0], [-2.0], [1.0]]), axis=1)
     assert np.any(np.sqrt(np.sum(c * c, axis=0)) > math.pi)
-    q = _magnus_step(c[0] + 1j * c[1], c[2])
+    q = _magnus_step(*c)
     for k in range(c.shape[1]):
         expected = expm(-1j * (c[0, k] * SIGMA_X + c[1, k] * SIGMA_Y + c[2, k] * SIGMA_Z))
         assert np.max(np.abs(_ck_matrix(q[:, k]) - expected)) <= 1e-14
@@ -521,16 +541,16 @@ def test_magnus_step_is_the_exponential():
 @pytest.mark.parametrize("size", [1e-160, 1e-300])
 def test_magnus_step_is_finite_and_unitary_at_tiny_fields(size):
     # |c|^2 is subnormal at 1e-160 and underflows to 0 at 1e-300; sinc is
-    # then 1, its limit, so the step is (1 - i z, -i w) to rounding
+    # then 1, its limit, so the step is (1 - i z, y - i x) to rounding
     rng = np.random.default_rng(14)
     c = rng.normal(size=(3, 16))
     c *= size / np.sqrt(np.sum(c * c, axis=0))
-    w, z = c[0] + 1j * c[1], c[2]
-    q = _magnus_step(w, z)
+    x, y, z = c
+    q = _magnus_step(x, y, z)
     assert np.all(np.isfinite(q.view(float)))
     assert np.max(np.abs(np.abs(q[0]) ** 2 + np.abs(q[1]) ** 2 - 1.0)) <= 1e-15
     assert np.all(q[0].real == 1.0)
-    assert np.max(np.abs(q[1] + 1j * w)) <= 1e-15 * size
+    assert np.max(np.abs(q[1] - (y - 1j * x))) <= 1e-15 * size
     assert np.max(np.abs(q[0].imag + z)) <= 1e-15 * size
 
 
@@ -538,7 +558,7 @@ def _commutator(a, b):
     return a @ b - b @ a
 
 
-@pytest.mark.parametrize("shape", ["3-d", "constant w", "constant z", "z = 0"])
+@pytest.mark.parametrize("shape", ["x and z varying", "constant x", "constant z", "z = 0"])
 def test_magnus_exponent_is_the_sixth_order_commutator_formula(shape):
     # Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009), evaluated on
     # 2x2 matrices: with A_k = -i b_k.sigma at the nodes 1/2 - sqrt(15)/10,
@@ -546,25 +566,26 @@ def test_magnus_exponent_is_the_sixth_order_commutator_formula(shape):
     # alpha2 = (sqrt(15)/3) h (A_3 - A_1), alpha3 = (10/3) h (A_3 - 2 A_2 + A_1),
     # C1 = [alpha1, alpha2], C2 = -[alpha1, 2 alpha3 + C1] / 60 and
     # Omega = alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2] / 240,
-    # which must be -i c.sigma.  The shapes are those the evolutions pass:
-    # the full z axis keeps w constant, the full x axis z, the reduced z = 0
+    # which must be -i c.sigma.  The fields are real (b_y = 0), in the shapes
+    # the evolutions pass: the full z axis keeps x constant, the full x axis
+    # z, the reduced z constant (the detuning), and on resonance z = 0
     rng = np.random.default_rng(13)
     size = 50
     h = rng.uniform(0.01, 2.0, size=size)
     b = rng.normal(size=(3, 3, size))  # node, component, step
-    if shape == "constant w":
-        b[:, :2] = b[0, :2, :1]
-        field = (b[0, 0, 0] + 1j * b[0, 1, 0], b[:, 2])
+    b[:, 1] = 0.0
+    if shape == "constant x":
+        b[:, 0] = b[0, 0, 0]
+        field = (b[0, 0, 0], b[:, 2])
     elif shape == "constant z":
-        b[:, 1] = 0.0
         b[:, 2] = b[0, 2, 0]
         field = (b[:, 0], b[0, 2, 0])
     elif shape == "z = 0":
         b[:, 2] = 0.0
-        field = (b[:, 0] + 1j * b[:, 1], 0.0)
+        field = (b[:, 0], 0.0)
     else:
-        field = (b[:, 0] + 1j * b[:, 1], b[:, 2])
-    w, z = _magnus_exponent(h, *field)
+        field = (b[:, 0], b[:, 2])
+    x, y, z = _magnus_exponent(h, *field)
     for k in range(size):
         a1, a2, a3 = (-1j * (bk[0, k] * SIGMA_X + bk[1, k] * SIGMA_Y + bk[2, k] * SIGMA_Z)
                       for bk in b)
@@ -574,22 +595,21 @@ def test_magnus_exponent_is_the_sixth_order_commutator_formula(shape):
         c1 = _commutator(alpha1, alpha2)
         c2 = -_commutator(alpha1, 2.0 * alpha3 + c1) / 60.0
         omega = alpha1 + alpha3 / 12.0 + _commutator(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0
-        c = -1j * (w[k].real * SIGMA_X + w[k].imag * SIGMA_Y + z[k] * SIGMA_Z)
+        c = -1j * (x[k] * SIGMA_X + y[k] * SIGMA_Y + z[k] * SIGMA_Z)
         assert np.max(np.abs(c - omega)) <= 1e-13 * max(1.0, np.max(np.abs(omega)))
 
 
 def test_magnus_kernel_is_sixth_order():
-    # b = (B cos wt, B sin wt, b0) turns into the constant B sigma_x +
-    # (b0 - w/2) sigma_z in the frame rotating at w about z, so
-    # U(T) = exp(-i w T sigma_z / 2) exp(-i T (B sigma_x + (b0 - w/2) sigma_z)).
-    # Halving the step must cut the global error of one segment 64-fold
-    big_b, omega, b0, t_end = 1.0, 2.0, 0.5, 5.0
-    exact = (expm(-0.5j * omega * t_end * SIGMA_Z)
-             @ expm(-1j * t_end * (big_b * SIGMA_X + (b0 - 0.5 * omega) * SIGMA_Z)))[:, 0]
-    errors = [np.linalg.norm(_segment_propagators(lambda t: (big_b * np.exp(1j * omega * t), b0),
-                                                  np.array([0.0, t_end]), (steps,))[:, 0, 0]
-                             - exact)
-              for steps in (16, 32, 64, 128)]
+    # on the real field b = (cos 2t, 0, 0.5), halving the step must cut the
+    # global error of one segment 64-fold; the reference takes 4096 steps,
+    # whose error is 64^5 below the finest run's
+    edges = np.array([0.0, 5.0])
+
+    def run(steps):
+        return _segment_propagators(lambda t: (np.cos(2.0 * t), 0.5), edges, (steps,))[:, 0, 0]
+
+    exact = run(4096)
+    errors = [np.linalg.norm(run(steps) - exact) for steps in (16, 32, 64, 128)]
     assert errors[-1] > 1e-11  # above the rounding
     for coarse, fine in zip(errors, errors[1:]):
         assert 60.0 < coarse / fine < 68.0
@@ -725,9 +745,9 @@ def test_a_long_window_propagates_one_period(evolve, monkeypatch):
     for edges in grids.values():
         edges = np.concatenate(edges)
         assert edges.max() <= 0.5 * p.period
-        # 0, 25 folded samples (the last one and the node of cos(delta t) on
-        # T/2; those past T/2 mirrored onto them) and 1 carrier edge, where
-        # the whole period took 54
+        # 0, 25 folded samples (the last one on T/2, where the |cos| envelope
+        # has its kink; those past T/2 mirrored onto them) and 1 carrier
+        # edge, where the whole period took 54
         assert np.unique(edges).size <= 27
 
 
@@ -772,7 +792,7 @@ def test_a_window_past_the_fold_is_refused(t_end, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for evolve in (evolve_reduced, evolve_corrected, lambda q, t: evolve_full(q, "z", t)):
-            with pytest.raises(IntegrationError, match="too long to fold"):
+            with pytest.raises(IntegrationError, match="t_end = .* is too long"):
                 evolve(p, [0.0, t_end])
     assert not grids
 
@@ -791,7 +811,7 @@ def test_an_unfoldable_full_window_past_the_carrier_rounding_is_refused(t_end, m
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for axis in ("z", "x"):
-                with pytest.raises(IntegrationError, match="t_end = .* carrier period"):
+                with pytest.raises(IntegrationError, match="t_end = .* is too long"):
                     evolve_full(p, axis, [0.0, t_end])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -812,15 +832,15 @@ _FOLDED_RUNS = [
 ]
 
 
-def _folded_call(monkeypatch, evolve, order, modulation, periods):
-    """Run ``evolve`` over 3.3 periods of its field at 61 samples; return
-    the unpatched ``_propagate`` and the arguments and result of its one
-    call."""
+def _folded_call(monkeypatch, evolve, order, modulation, periods, windows=3.3):
+    """Run ``evolve`` over ``windows`` periods of its field at 61 samples;
+    return the unpatched ``_propagate``, the params, and the arguments and
+    result of its one call."""
     calls = []
 
-    def spy(field, params, times, tol, period, carrier_edges, initial):
-        amps = propagate(field, params, times, tol, period, carrier_edges, initial)
-        calls.append((field, params, times, tol, period, carrier_edges, initial, amps))
+    def spy(field, times, tol, period, spacing, initial):
+        amps = propagate(field, times, tol, period, spacing, initial)
+        calls.append((field, times, tol, period, spacing, initial, amps))
         return amps
 
     propagate = dynamics._propagate
@@ -828,17 +848,38 @@ def _folded_call(monkeypatch, evolve, order, modulation, periods):
     # off resonance by 0.01, so the reduced fields have a z component
     p = make_params(order=order, ratio=0.5, gap_over_mod=2.0, modulation=modulation,
                     epsilon0=order + 0.01)
-    evolve(p, np.linspace(0.0, 3.3 * periods * p.period, 61))
-    assert len(calls) == 1 and calls[0][4] == periods * p.period
-    return propagate, calls[0]
+    evolve(p, np.linspace(0.0, windows * periods * p.period, 61))
+    assert len(calls) == 1 and calls[0][3] == periods * p.period
+    return propagate, p, calls[0]
+
+
+def _whole_chain(propagate, field, times, tol, period, spacing, initial):
+    """The same field chained over the whole window, unfolded.  An envelope
+    equation passes no edge spacing: folded, its chain stops at T/2, where
+    the |cos(delta t)| envelope has its kink, so a whole chain takes its
+    edges every T/2, at every kink."""
+    return propagate(field, times, tol, None, spacing or 0.5 * period, initial)
 
 
 @pytest.mark.parametrize("evolve, order, modulation, periods",
                          [run[1:] for run in _FOLDED_RUNS], ids=[run[0] for run in _FOLDED_RUNS])
 def test_the_fold_matches_the_whole_window(evolve, order, modulation, periods, monkeypatch):
-    propagate, (field, params, times, tol, _, carrier_edges, initial, folded) = _folded_call(
+    propagate, _, (field, times, tol, period, spacing, initial, folded) = _folded_call(
         monkeypatch, evolve, order, modulation, periods)
-    whole = propagate(field, params, times, tol, None, carrier_edges, initial)
+    whole = _whole_chain(propagate, field, times, tol, period, spacing, initial)
+    assert np.max(np.abs(folded - whole)) <= tol
+
+
+@pytest.mark.parametrize("evolve, order, modulation, periods",
+                         [run[1:] for run in _FOLDED_RUNS], ids=[run[0] for run in _FOLDED_RUNS])
+def test_a_window_past_half_a_period_folds(evolve, order, modulation, periods, monkeypatch):
+    # 0.7 periods: every n is 0, the chain stops at T/2 and the samples past
+    # it take conj(U(T - tau)) U(T); a chain over the whole window agrees
+    grids = _recorded_grids(monkeypatch)
+    propagate, _, (field, times, tol, period, spacing, initial, folded) = _folded_call(
+        monkeypatch, evolve, order, modulation, periods, windows=0.7)
+    assert max(np.max(edges) for run in grids.values() for edges in run) <= 0.5 * period
+    whole = _whole_chain(propagate, field, times, tol, period, spacing, initial)
     assert np.max(np.abs(folded - whole)) <= tol
 
 
@@ -849,13 +890,13 @@ def test_a_folded_field_is_real_and_even_about_half_its_period(evolve, order, mo
     # the half-period chain needs field(T - t) = field(t) with b_y = 0.  The
     # rounding of the phases, up to omega_0 T = 8 pi, moves the field by a
     # few eps times that phase
-    _, (field, params, _, _, period, _, _, _) = _folded_call(
+    _, params, (field, _, _, period, _, _, _) = _folded_call(
         monkeypatch, evolve, order, modulation, periods)
     t = np.linspace(0.0, period, 1001)
     ahead = [np.broadcast_to(x, t.shape) for x in field(t)]
     behind = [np.broadcast_to(x, t.shape) for x in field(period - t)]
     scale = max(np.max(np.abs(x)) for x in ahead)
-    assert np.all(np.imag(ahead[0]) == 0.0)
+    assert all(np.isrealobj(x) for x in ahead)
     for a, b in zip(ahead, behind):
         assert np.max(np.abs(a - b)) <= 4.0 * EPS * params.carrier * period * scale
 
