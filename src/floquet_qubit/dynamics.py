@@ -108,9 +108,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .floquet import build_phase_decomposition, effective_bessel_argument
+from .floquet import build_phase_decomposition
 from .model import DETUNING_RATIO_WARN, SystemParams, check_real, check_times, drive_field
-from .specfun import bessel_j, bessel_series
+from .specfun import bessel_series
 
 __all__ = [
     "IntegrationError",
@@ -208,11 +208,13 @@ def analytic_populations(params: SystemParams, times) -> PopulationTrace:
 def rabi_frequency(params: SystemParams, t):
     """Instantaneous population-oscillation rate (delta_gap/2) J_N(w(t)),
     the time derivative of ``PhaseDecomposition.gamma_at``, for a time or an
-    array of them, each finite (``effective_bessel_argument``).  The signed
-    tunnelling amplitude of the reduced equations is (-1)^(N+1) times it
-    (``_evolve_two_amplitude``)."""
-    return 0.5 * params.delta_gap * bessel_j(params.order,
-                                             effective_bessel_argument(params, t))
+    array of them, each finite (``model.check_times``): the series
+    ``specfun.bessel_series`` at R = A/omega_0, scaled by delta_gap/2 and
+    summed at |cos(delta t)|, so each time's rate is the same bits alone or
+    in any array.  The signed tunnelling amplitude of the reduced equations
+    is (-1)^(N+1) times it, to the bit (``_evolve_two_amplitude``)."""
+    series = 0.5 * params.delta_gap * bessel_series(params.order, params.drive_ratio)
+    return chebyshev.chebval(np.abs(np.cos(params.modulation * check_times("t", t))), series)
 
 
 # ---------------------------------------------------------------------------

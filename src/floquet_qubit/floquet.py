@@ -17,13 +17,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import special
 
 from .model import SystemParams, check_count, check_real, check_times
-from .specfun import bessel_j, bessel_products, check_domain
+from .specfun import bessel_j, bessel_series, bessel_span, check_domain
 
 __all__ = [
     "PhaseDecomposition",
@@ -62,13 +62,29 @@ def _half_period_mean(order: int, j: np.ndarray) -> np.ndarray:
     return np.where((j - 1) // 2 % 2, -2.0, 2.0) / (math.pi * j)
 
 
-def _coupling_harmonics(order: int, j: np.ndarray, products: np.ndarray,
-                        n_max: int) -> np.ndarray:
-    """G(0), ..., G(n_max) of J_N(2 r |cos u|) from ``specfun.bessel_products``.
+def _coupling_harmonics(order: int, series: np.ndarray, n_max: int) -> np.ndarray:
+    """G(0), ..., G(n_max) of J_N(2 r |cos u|) from its Chebyshev series c_m
+    (``specfun.bessel_series``): G(n) = (1/2) sum_m c_m (s(m - 2n) + s(m + 2n))
+    over the m of N's parity (see ``fourier_phase``)."""
+    m = np.arange(order % 2, len(series), 2)
+    n2 = 2 * np.arange(n_max + 1)[:, None]
+    return 0.5 * (_half_period_mean(order, m - n2) + _half_period_mean(order, m + n2)) @ series[m]
 
-    G(n) = sum_k J_k(r) J_{N-k}(r) s(2k - N - 2n) (see ``fourier_phase``).
+
+def _sine_series(weight: Sequence[float], odd: int, u):
+    """sum_m weight[m] sin((2m + 2 - odd) u) for a float u or an array of them.
+
+    Horner's rule on z = e^{2iu}: the sum is the imaginary part of
+    e^{i (2 - odd) u} sum_m weight[m] z^m, so each time costs one complex
+    exponential however many terms there are.  A float runs through
+    ``cmath`` and gives a float.
     """
-    return _half_period_mean(order, j[None, :] - 2 * np.arange(n_max + 1)[:, None]) @ products
+    e = (cmath.exp if isinstance(u, float) else np.exp)(1j * u)
+    z = e * e
+    total = 0.0
+    for w in reversed(weight):
+        total = total * z + w
+    return (total * (e if odd else z)).imag
 
 
 def mean_bessel(params: SystemParams) -> float:
@@ -103,9 +119,10 @@ class PhaseDecomposition:
     ``mean_bessel``; the quasienergy is (-1)^N slope) and ``periodic_part``
     evaluates the periodic remainder in closed form (see
     ``build_phase_decomposition``): zero at t = 0, at every half period and
-    at every full period pi/delta, and odd about each of them.  A float
-    time gives a float, summed term by term in plain Python; any other time
-    (an int, an array) goes through NumPy and gives a NumPy float or array.
+    at every full period pi/delta, and odd about each of them.  Every time
+    goes through one Horner sum (``_sine_series``): a float time runs it in
+    ``cmath`` and gives a float; any other time (an int, an array) goes
+    through NumPy and gives a NumPy float or array.
     """
 
     slope: float
@@ -124,52 +141,45 @@ def build_phase_decomposition(params: SystemParams) -> PhaseDecomposition:
     """Phase decomposition with a closed-form periodic part.
 
     With u = delta t, gamma_N(t) = (delta_gap / (2 delta)) F(u) and
-    F(u) = int_0^u J_N(2 r |cos v|) dv.  The Jacobi-Anger expansion behind
-    ``fourier_phase``, integrated term by term, gives the signed integral
-    F_s(u) = int_0^u J_N(2 r cos v) dv = c u + S(u) with the sine series
-    S(u) = sum_{j>0} 2 J_k(r) J_{N-k}(r) sin(j u) / j, j = 2k - N, and
-    c = J_{N/2}(r)^2 for even N, 0 for odd N.  The |cos| envelope is the
-    signed one up to u = pi/2 and even about pi/2, so past it
-    F(u) = pi M - F_s(pi - u), where M = J_{N/2}(r)^2 is the period average;
-    every whole half-period of u adds pi M.  The periodic part, the scale
-    times F(u) - M u, is therefore the scale times h(u) = S(u) - (M - c) u
-    on [0, pi/2], odd about pi/2 and repeated with period pi in u.  h is
-    odd, so that is h(w) with w = u reduced modulo pi into [-pi/2, pi/2).
+    F(u) = int_0^u J_N(2 r |cos v|) dv.  The Chebyshev series
+    J_N(2 r cos v) = sum_m c_m cos(m v) of ``specfun.bessel_series``, the
+    expansion behind ``fourier_phase``, integrated term by term gives the
+    signed integral F_s(u) = int_0^u J_N(2 r cos v) dv = c_0 u + S(u) with
+    the sine series S(u) = sum_{m>0} c_m sin(m u) / m over the m of N's
+    parity; c_0 = J_{N/2}(r)^2 for even N and 0 for odd N.  The |cos|
+    envelope is the signed one up to u = pi/2 and even about pi/2, so past
+    it F(u) = pi M - F_s(pi - u), where M = J_{N/2}(r)^2 is the period
+    average; every whole half-period of u adds pi M.  The periodic part, the
+    scale times F(u) - M u, is therefore the scale times
+    h(u) = S(u) - (M - c_0) u on [0, pi/2], odd about pi/2 and repeated
+    with period pi in u.  h is odd, so that is h(w) with w = u reduced
+    modulo pi into [-pi/2, pi/2).
 
-    M is G(0) summed from the same integer-order products: for r <= 11 it
-    is within 2.5e-16 of mpmath, where the half-order ``jv`` of
-    ``mean_bessel`` is off by up to 3.2e-15, an error that t multiplies.
-    ``slope`` here is therefore the more accurate of the two; (-1)^N slope
-    differs from ``quasienergy(params)`` by up to about 4e-14 relative.
-    Terms with |J_k J_{N-k}| below rounding of the largest product are
-    dropped.  The result is cached per parameter set, so a scalar
-    ``periodic_part`` call (``qes_state``) costs one short sine series
-    rather than a ``jv`` call over every order.  Raises ``ValueError``
-    outside ``specfun.check_domain``, as the envelope functions do.
+    M is G(0) summed from the same series: for r <= 11 it is within
+    2.8e-16 of mpmath, where the half-order ``jv`` of ``mean_bessel`` is off
+    by up to 3.2e-15, an error that t multiplies.  ``slope`` here is
+    therefore the more accurate of the two; (-1)^N slope differs from
+    ``quasienergy(params)`` by up to about 4e-14 relative.  The only trim
+    is ``bessel_series``'s, of the trailing c_m below rounding.  The result
+    is cached per parameter set, so a scalar ``periodic_part`` call
+    (``qes_state``) costs one complex exponential and a Horner pass over a
+    few dozen terms rather than a ``jv`` call over every order.  Raises
+    ``ValueError`` outside ``specfun.check_domain``, as the envelope
+    functions do.
     """
-    order = params.order
-    j, products = bessel_products(order, params.drive_ratio)
-    keep = (j > 0) & (np.abs(products) > np.finfo(float).eps * np.max(np.abs(products)))
-    freq = j[keep].astype(float)
-    weight = 2.0 * products[keep] / freq
-    mean = float(_coupling_harmonics(order, j, products, 0)[0])  # G(0) = J_{N/2}(r)^2
-    drift = mean if order % 2 else 0.0
-    delta = params.modulation
-    scale = 0.5 * params.delta_gap / delta
-
-    terms = tuple(zip(freq.tolist(), weight.tolist()))
+    odd = params.order % 2
+    series = bessel_series(params.order, params.drive_ratio)
+    m = np.arange(2 - odd, len(series), 2)
+    weight = tuple((series[m] / m).tolist())
+    mean = float(_coupling_harmonics(params.order, series, 0)[0])  # G(0) = J_{N/2}(r)^2
+    drift = mean if odd else 0.0
+    scale = 0.5 * params.delta_gap / params.modulation
 
     def periodic_part(t):
-        if isinstance(t, float):
-            # one time (``qes_state``): a plain loop costs a fraction of
-            # NumPy's per-call overhead on a few dozen terms
-            u = (delta * t + 0.5 * math.pi) % math.pi - 0.5 * math.pi
-            total = 0.0
-            for f, w in terms:
-                total += w * math.sin(f * u)
-            return scale * (total - drift * u)
-        u = np.mod(delta * np.asarray(t, dtype=float) + 0.5 * math.pi, math.pi) - 0.5 * math.pi
-        return scale * (np.sin(np.multiply.outer(u, freq)) @ weight - drift * u)
+        if not isinstance(t, float):
+            t = np.asarray(t, dtype=float)
+        u = (params.modulation * t + 0.5 * math.pi) % math.pi - 0.5 * math.pi
+        return scale * (_sine_series(weight, odd, u) - drift * u)
 
     return PhaseDecomposition(slope=0.5 * params.delta_gap * mean, periodic_part=periodic_part)
 
@@ -207,21 +217,21 @@ def fourier_phase(params: SystemParams, n_max: int) -> FourierPhase:
     about u = pi/2, so G(n) = (2/pi) int_0^{pi/2} J_N(2 r cos u) cos(2 n u) du.
     Writing 2 r cos u sin(theta) = r sin(theta + u) + r sin(theta - u) in the
     Jacobi-Anger expansion (DLMF 10.12) gives
-    J_N(2 r cos u) = sum_k J_k(r) J_{N-k}(r) cos((2k - N) u).  Integrated
-    term by term, G(n) = sum_k J_k(r) J_{N-k}(r) (s(2k-N-2n) + s(2k-N+2n)) / 2
-    with s(j) = (2/pi) int_0^{pi/2} cos(j u) du: 1 at j = 0, 0 at every other
-    even j and 2 (-1)^{(j-1)/2} / (pi j) at odd j.  s is even and the
-    products are symmetric under k -> N - k, so both halves are equal and
-    G(n) = sum_k J_k(r) J_{N-k}(r) s(2k - N - 2n).  For even N only
-    k = N/2 + n survives: G(n) = J_{N/2+n}(r) J_{N/2-n}(r), Neumann's product
-    integral (DLMF 10.22) at integer orders.  Every factor is an
-    integer-order Bessel value of magnitude <= 1, so no coefficient
-    overflows, at any r >= 0 or harmonic.  Like the envelope functions it
+    J_N(2 r cos u) = sum_k J_k(r) J_{N-k}(r) cos((2k - N) u), the Chebyshev
+    series sum_m c_m cos(m u) of ``specfun.bessel_series``.  Integrated term
+    by term, G(n) = (1/2) sum_m c_m (s(m - 2n) + s(m + 2n)) over the m of N's
+    parity, with s(j) = (2/pi) int_0^{pi/2} cos(j u) du: 1 at j = 0, 0 at
+    every other even j and 2 (-1)^{(j-1)/2} / (pi j) at odd j.  For odd N
+    every m +- 2n is odd, never 0.  For even N only m = 2n survives:
+    G(n) = J_{N/2+n}(r) J_{N/2-n}(r), Neumann's product integral (DLMF 10.22)
+    at integer orders.  Every c_m is one or two integer-order Bessel
+    products with factors of magnitude <= 1, so no coefficient overflows, at
+    any r >= 0 or harmonic.  Like the envelope functions it
     raises ``ValueError`` outside ``specfun.check_domain``.
     """
     n_max = check_count("n_max", n_max, 1)
     order = params.order
-    positive = _coupling_harmonics(order, *bessel_products(order, params.drive_ratio), n_max)
+    positive = _coupling_harmonics(order, bessel_series(order, params.drive_ratio), n_max)
     coefficients = np.concatenate((positive[:0:-1], positive))
     return FourierPhase(coefficients=coefficients, period=params.period)
 
@@ -231,13 +241,12 @@ def reconstruct_periodic_phase(phase: FourierPhase, delta_gap: float, t):
 
     Phi(t) = (delta_gap/2) sum_{|n|>=1} G(n) (T / (i 2 pi n)) (e^{i 2 pi n t / T} - 1);
     with G(-n) = G(n) real the +-n terms pair into the sine series
-    Phi(t) = (delta_gap/2) sum_{n>=1} G(n) (T / (pi n)) sin(2 pi n t / T),
-    evaluated as one matrix-vector product.
+    Phi(t) = (delta_gap/2) (T / pi) sum_{n>=1} (G(n) / n) sin(2 n u), u = pi t / T,
+    summed by ``_sine_series``.
     """
-    n = np.arange(1, phase.n_max + 1)
-    weight = phase.coefficients[phase.n_max + 1:] * phase.period / (math.pi * n)
-    angle = np.multiply.outer(np.asarray(t, dtype=float), 2.0 * math.pi * n / phase.period)
-    return 0.5 * delta_gap * (np.sin(angle) @ weight)
+    u = math.pi / phase.period * np.asarray(t, dtype=float)
+    weight = phase.coefficients[phase.n_max + 1:] / np.arange(1, phase.n_max + 1)
+    return 0.5 * delta_gap * phase.period / math.pi * _sine_series(weight, False, u)
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +367,16 @@ def exact_effective_argument(params: SystemParams, t):
     return np.sqrt(z1 * z1 + z2 * z2 - 2.0 * z1 * z2 * np.cos(gamma))
 
 
-def graf_bessel_sum(z1: float, z2: float, gamma: float, order: int,
-                    cutoff: int = 60) -> complex:
-    """Truncated double-sided sum sum_k J_k(z1) J_{order+k}(z2) e^{i k gamma}."""
-    total = 0.0 + 0.0j
-    for k in range(-cutoff, cutoff + 1):
-        total += bessel_j(k, z1) * bessel_j(order + k, z2) * cmath.exp(1j * k * gamma)
-    return total
+def graf_bessel_sum(z1: float, z2: float, gamma: float, order: int) -> complex:
+    """Double-sided sum sum_k J_k(z1) J_{order+k}(z2) e^{i k gamma}, over the
+    |k| <= ``specfun.bessel_span`` of the larger |z|, past which every term
+    is below 1e-18.  Raises ``ValueError`` when an order the sum needs lies
+    outside ``specfun.check_domain``."""
+    top = float(np.max(np.abs([z1, z2])))  # NaN if either is
+    check_domain(abs(order), 0.5 * top)
+    k = np.arange(-bessel_span(top), bessel_span(top) + 1)
+    check_domain(abs(order) + k[-1], 0.5 * top)
+    return complex(np.sum(special.jv(k, z1) * special.jv(order + k, z2) * np.exp(1j * k * gamma)))
 
 
 def graf_closed_form(z1: float, z2: float, gamma: float, order: int) -> complex:

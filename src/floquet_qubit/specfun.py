@@ -9,10 +9,10 @@ so J_N(2 R t) = sum_k J_k(R) J_{N-k}(R) T_{|2k-N|}(t) for |t| <= 1, a
 Chebyshev series whose coefficients come from one integer-order
 ``scipy.special.jv`` call (``bessel_series``).  Scalar calls go to ``jv``;
 an array is summed as that series, with R half its largest |x|.  The same
-products give ``floquet`` its Fourier table and accumulated phase, and the
-same series gives ``dynamics`` the envelope J_N(2 r cos(delta t)) of its
-reduced equations.  The module has no
-dependency on the rest of the package.
+series, trimmed once below rounding, gives ``floquet`` its Fourier table and
+accumulated phase, and ``dynamics`` the envelope J_N(2 r cos(delta t)) of
+its reduced equations and its rate.  The module has no dependency on the
+rest of the package.
 """
 
 from __future__ import annotations

@@ -5,6 +5,8 @@ never calls into the package under test, so each comparison is a genuine
 dual-route check.
 """
 
+from functools import lru_cache
+
 import mpmath as mp
 
 
@@ -109,3 +111,45 @@ def accumulated_phase_quad(order: int, ratio: float, u: float, dps: int = 20) ->
         total = whole * mp.quad(envelope, [0, mp.pi / 2, mp.pi]) if whole else mp.mpf(0)
         nodes = [0, mp.pi / 2, rem] if rem > mp.pi / 2 else [0, rem]
         return float(total + mp.quad(envelope, nodes))
+
+
+@lru_cache(maxsize=None)
+def _besselj(order: int, ratio: float, dps: int):
+    with mp.workdps(dps):
+        return mp.besselj(order, mp.mpf(repr(ratio)))
+
+
+def jacobi_anger_periodic_phase(order: int, ratio: float, us, dps: int = 30) -> list[float]:
+    """F(u) - M u at each u of ``us``, for F(u) = int_0^u J_N(2 r |cos v|) dv
+    and its period average M = J_{N/2}(r)^2, all in mpmath.
+
+    The Jacobi-Anger expansion (DLMF 10.12)
+    J_N(2 r cos v) = sum_k J_k(r) J_{N-k}(r) cos((2k - N) v), from
+    ``mp.besselj`` products summed over every k with |J_k(r)| above
+    10^-dps, integrates term by term to F_s(u) = int_0^u J_N(2 r cos v) dv.
+    The |cos| envelope is the signed one on [0, pi/2] and even about pi/2,
+    so with u = n pi + v, v in [0, pi), F(u) = n pi M + F_s(v) up to
+    v = pi/2 and n pi M + pi M - F_s(pi - v) past it.
+    """
+    with mp.workdps(dps):
+        def bessel(k):  # J_{-k} = (-1)^k J_k
+            return _besselj(abs(k), float(ratio), dps) * (-1 if k < 0 and k % 2 else 1)
+
+        span = 0
+        while span < ratio or abs(bessel(span)) > mp.mpf(10) ** -dps:
+            span += 1
+        terms = [(2 * k - order, bessel(k) * bessel(order - k))
+                 for k in range(-span, order + span + 1)]
+        mean = mp.besselj(mp.mpf(order) / 2, mp.mpf(repr(float(ratio)))) ** 2
+
+        def signed(v):
+            return sum(p * (v if j == 0 else mp.sin(j * v) / j) for j, p in terms)
+
+        out = []
+        for u in us:
+            um = mp.mpf(repr(float(u)))
+            n = mp.floor(um / mp.pi)
+            v = um - n * mp.pi
+            head = signed(v) if v <= mp.pi / 2 else mp.pi * mean - signed(mp.pi - v)
+            out.append(float(n * mp.pi * mean + head - mean * um))
+        return out

@@ -126,6 +126,17 @@ def test_rabi_frequency_trivials():
     assert np.array_equal(rabi_frequency(zero, np.array([0.0, 1.0, 500.0])), np.zeros(3))
 
 
+def test_rabi_frequency_of_a_time_is_the_same_in_any_array():
+    # one series at R = A/omega_0 serves every time, so no sample's rate
+    # depends on the others in its array
+    p = make_params(order=1, ratio=1.3)
+    t = np.linspace(0.0, 3.0 * p.period, 301)
+    rates = rabi_frequency(p, t)
+    alone = np.array([rabi_frequency(p, t[i:i + 1])[0] for i in range(len(t))])
+    scalar = np.array([rabi_frequency(p, float(x)) for x in t])
+    assert np.array_equal(rates, alone) and np.array_equal(rates, scalar)
+
+
 def test_rabi_frequency_weak_drive_envelope():
     # the squared rate at weak drive follows the cos^2 envelope of the
     # modulation to better than a percent

@@ -23,9 +23,11 @@ from floquet_qubit.floquet import (
 )
 from floquet_qubit.floquet import _abs_cos_antiderivative
 from floquet_qubit.model import SystemParams
+from floquet_qubit.specfun import bessel_series
 
 from oracles import (abs_cos_power_integral, accumulated_phase_quad, fourier_coefficient,
-                     mean_coupling_quad, mp_besselj, weak_drive_means)
+                     jacobi_anger_periodic_phase, mean_coupling_quad, mp_besselj,
+                     weak_drive_means)
 
 
 def make_params(order=1, ratio=0.1, gap_over_mod=40.0, modulation=1e-3, carrier=1.0):
@@ -207,6 +209,31 @@ def test_gamma_past_the_envelope_node(order, amplitude):
         assert math.isfinite(gamma) and abs(gamma - gamma_t) < 1e-13
 
 
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("ratio", [50.0, 200.0])
+def test_periodic_part_at_a_strong_drive_matches_jacobi_anger(order, ratio):
+    # up to three periods in u = delta t, away from the envelope nodes, with
+    # F(u) - M u (the periodic part in units of the scale) summed over every
+    # Bessel product in mpmath.  Horner's rule over the terms w on |z| = 1
+    # loses at most one rounding of sum |w| per term, and rounding the
+    # argument u shifts F - M u by eps (|u| + pi) times its slope J_N - M
+    p = make_params(order=order, ratio=ratio)
+    dec = build_phase_decomposition(p)
+    scale = 0.5 * p.delta_gap / p.modulation
+    t = np.array([0.1, 1.3, 0.5 * math.pi + 0.2, 2.9, 4.0, 7.5, 9.3]) / p.modulation
+    u = p.modulation * t  # the argument periodic_part forms
+    reference = np.array(jacobi_anger_periodic_phase(order, ratio, u))
+    series = bessel_series(order, ratio)
+    m = np.arange(2 - order % 2, len(series), 2)
+    weights = np.abs(series[m] / m)
+    mean = special.jv(0.5 * order, ratio) ** 2
+    slope = np.abs(special.jv(order, 2.0 * ratio * np.abs(np.cos(u)))) + mean
+    bound = np.finfo(float).eps * (len(m) * np.sum(weights) + (np.abs(u) + math.pi) * slope)
+    assert np.all(np.abs(dec.periodic_part(t) / scale - reference) <= bound)
+    for time, ref, b in zip(t.tolist(), reference, bound):
+        assert abs(dec.periodic_part(time) / scale - ref) <= b
+
+
 def test_periodic_part_is_periodic():
     p = make_params(order=1, ratio=1.0, gap_over_mod=12.0)
     dec = build_phase_decomposition(p)
@@ -246,7 +273,7 @@ def test_periodic_part_vanishes_at_reference_point():
 @pytest.mark.parametrize("order", range(1, 7))
 @pytest.mark.parametrize("ratio", [0.0, 0.3, 3.8317, 11.0])
 def test_scalar_periodic_part_matches_the_array_path(order, ratio):
-    # a float time is summed in plain Python, an array through NumPy
+    # a float time runs the one Horner sum in cmath, an array in NumPy
     p = make_params(order=order, ratio=ratio, gap_over_mod=12.0)
     dec = build_phase_decomposition(p)
     rng = np.random.default_rng(order)
@@ -520,9 +547,19 @@ def test_graf_sum_equals_closed_form():
         z1 = z2 * float(rng.uniform(0.05, 0.95))
         gamma = float(rng.uniform(0.0, 2 * math.pi))
         order = int(rng.randint(1, 4))
-        total = graf_bessel_sum(z1, z2, gamma, order, cutoff=40 + int(z2))
+        total = graf_bessel_sum(z1, z2, gamma, order)
         closed = graf_closed_form(z1, z2, gamma, order)
         assert abs(total - closed) < 1e-8
+
+
+def test_graf_sum_reaches_the_bessel_tail_at_large_arguments():
+    # the sum runs to |k| = bessel_span(50) = 125; stopping at 60 would be
+    # off by 1.0e-8 at N = 1 and 4.1e-8 at N = 3
+    for order in (1, 3):
+        total = graf_bessel_sum(45.0, 50.0, 0.3, order)
+        assert abs(total - graf_closed_form(45.0, 50.0, 0.3, order)) < 1e-14
+    with pytest.raises(ValueError):  # needs orders past 200
+        graf_bessel_sum(100.0, 150.0, 0.3, 1)
 
 
 def test_graf_closed_form_rejects_bad_arguments():
