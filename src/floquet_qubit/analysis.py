@@ -123,10 +123,11 @@ def trace_periodicity_check(trace: PopulationTrace, period: float, reps: int = 1
     check_real("period", period, ">", 0.0)
     reps = check_count("reps", reps, 1)
     t = trace.times
-    span = t[-1] - t[0]
-    if span < (reps + 1) * period * (1.0 - 1e-12):
-        raise ValueError(
-            f"trace spans {span:.6g} but needs at least {(reps + 1) * period:.6g}")
+    span = float(t[-1] - t[0])
+    # reps stays an integer, compared exactly with a float: (reps + 1) * period
+    # overflows past the float range
+    if reps + 1 > span / (period * (1.0 - 1e-12)):
+        raise ValueError(f"trace spans {span:.6g}, less than reps + 1 periods of {period:.6g}")
     deviation = 0.0
     base = t <= t[-1] - reps * period + 1e-12 * span
     for k in range(1, reps + 1):

@@ -74,7 +74,7 @@ _TYPES = {**get_type_hints(SystemParams), **get_type_hints(RunConfig)}
 
 
 def _value(key: str, raw, rule=None, values: dict | None = None):
-    """``raw`` (config-file text or a typed value) as the type of ``key``,
+    """``raw`` (config or flag text, or a typed value) as the type of ``key``,
     one of the choices or meeting the rule of ``_key`` (a key the rule names
     is looked up in ``values``); otherwise a ConfigError naming ``key``."""
     if isinstance(rule, tuple):
@@ -116,11 +116,11 @@ def _parse_source(source: str) -> dict:
 
 def parse_config(source: str, overrides: dict | None = None,
                  command: str = "dynamics") -> RunConfig:
-    """Build a validated RunConfig from config text plus typed overrides.
+    """Build a validated RunConfig from config text plus overrides.
 
     ``source`` is a flat ``key = value`` document ('#' starts a comment, the
-    last occurrence of a key wins); ``overrides`` (typically the command-line
-    flags) take precedence over file values.
+    last occurrence of a key wins); ``overrides`` (text, as the command-line
+    flags give, or typed values) take precedence over file values.
     """
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command '{command}'")
@@ -130,13 +130,12 @@ def parse_config(source: str, overrides: dict | None = None,
         if key not in _FIELDS:
             raise ConfigError(f"unknown key '{key}'")
 
-    # physical parameters, later defaults derived from earlier ones; the
-    # carrier is checked first so a bad value is reported under its own key
-    # rather than through a derived default
-    def physical(key, default, rule=None):
-        return _value(key, given[key], rule) if key in given else default
+    # physical parameters, later defaults derived from earlier ones;
+    # SystemParams checks them
+    def physical(key, default):
+        return _value(key, given[key]) if key in given else default
 
-    carrier = physical("carrier", 1.0, "> 0")
+    carrier = physical("carrier", 1.0)
     order = physical("order", 1)
     try:
         params = SystemParams(epsilon0=physical("epsilon0", order * carrier),
@@ -318,10 +317,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (_, help_text) in _COMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
         sp.add_argument("--config", help="flat key = value config file")
+        # a flag is text, converted and checked by _value as a config line is
         for key, f in _FIELDS.items():
             rule = f.metadata.get("rule")
-            sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=_TYPES[key],
-                            choices=rule if isinstance(rule, tuple) else None)
+            choices = "{" + ",".join(rule) + "}" if isinstance(rule, tuple) else None
+            sp.add_argument(f"--{key.replace('_', '-')}", dest=key, metavar=choices)
     return parser
 
 

@@ -577,8 +577,7 @@ def xconfig_dynamics(v: float, delta_mod: float, t: float) -> XConfigPoint:
     the resonant rotating-frame coupling (half the per-component drive
     amplitude of the lab-frame field).
     """
-    if not 0 < abs(delta_mod) < math.inf:
-        raise ValueError(f"delta_mod must be finite and nonzero, got {delta_mod!r}")
+    check_real("delta_mod", abs(delta_mod), ">", 0.0)
     check_real("v", v, ">", -math.inf)
     tf = float(check_real("t", t, ">", -math.inf))
     theta = (v / delta_mod) * math.sin(delta_mod * tf)

@@ -1,14 +1,15 @@
 """Resonance-approximation core.
 
-Each resonance quantity has one owner here: the effective Bessel argument
-w(t) of the coupling envelope (the envelope (delta_gap/2) J_N(w(t)) itself
-is ``dynamics.rabi_frequency``), its period average ``mean_bessel``, the
-quasienergy E_N of the pair (+E_N, -E_N) (``quasienergy``), the
-accumulated phase gamma_N(t) (``PhaseDecomposition.gamma_at``) with its
-"linear + periodic" decomposition, its Fourier representation,
-quasienergetic states, and weak-drive closed forms.  A small set of
-Bessel-summation helpers used only to validate the reduction lives at the
-bottom.
+The resonance quantities: the effective Bessel argument w(t) of the
+coupling envelope (``effective_bessel_argument``; the envelope
+(delta_gap/2) J_N(w(t)) of ``dynamics.rabi_frequency`` and the reduced
+field each sum their Chebyshev series at |cos(delta t)| themselves), its
+period average ``mean_bessel``, the quasienergy E_N of the pair
+(+E_N, -E_N) (``quasienergy``), the accumulated phase gamma_N(t)
+(``PhaseDecomposition.gamma_at``) with its "linear + periodic"
+decomposition, its Fourier representation, quasienergetic states, and
+weak-drive closed forms.  A small set of Bessel-summation helpers used only
+to validate the reduction lives at the bottom.
 """
 
 from __future__ import annotations
@@ -244,7 +245,9 @@ def reconstruct_periodic_phase(phase: FourierPhase, delta_gap: float, t):
     Phi(t) = (delta_gap/2) (T / pi) sum_{n>=1} (G(n) / n) sin(2 n u), u = pi t / T,
     summed by ``_sine_series``.
     """
-    u = math.pi / phase.period * np.asarray(t, dtype=float)
+    check_real("delta_gap", delta_gap, ">", -math.inf)
+    # an array even for one time: a float would take _sine_series' scalar branch
+    u = math.pi / phase.period * np.asarray(check_times("t", t))
     weight = phase.coefficients[phase.n_max + 1:] / np.arange(1, phase.n_max + 1)
     return 0.5 * delta_gap * phase.period / math.pi * _sine_series(weight, False, u)
 
@@ -362,7 +365,7 @@ def exact_effective_argument(params: SystemParams, t):
 
     w_exact(t) = sqrt(z1^2 + z2^2 - 2 z1 z2 cos(gamma)) with gamma = 2 delta t + pi.
     """
-    gamma = 2.0 * params.modulation * np.asarray(t, dtype=float) + math.pi
+    gamma = 2.0 * params.modulation * check_times("t", t) + math.pi
     z1, z2 = params.z1, params.z2
     return np.sqrt(z1 * z1 + z2 * z2 - 2.0 * z1 * z2 * np.cos(gamma))
 

@@ -122,11 +122,13 @@ class SystemParams:
     order: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "order", check_count("order", self.order, 1))
-        for name, op, bound in (("epsilon0", ">", -math.inf), ("delta_gap", ">", -math.inf),
-                                ("amplitude", ">=", 0.0), ("carrier", ">", 0.0),
+        # the carrier first: the CLI derives the other defaults from it, so a
+        # bad carrier is reported under its own key rather than through one
+        for name, op, bound in (("carrier", ">", 0.0), ("epsilon0", ">", -math.inf),
+                                ("delta_gap", ">", -math.inf), ("amplitude", ">=", 0.0),
                                 ("modulation", ">", 0.0)):
-            object.__setattr__(self, name, check_real(name, float(getattr(self, name)), op, bound))
+            object.__setattr__(self, name, float(check_real(name, getattr(self, name), op, bound)))
+        object.__setattr__(self, "order", check_count("order", self.order, 1))
         if self.modulation >= self.carrier:
             raise ValueError(f"modulation must be < carrier, got {self.modulation}")
 
@@ -190,14 +192,14 @@ def phase_phi(params: SystemParams, t):
 
     phi(t) = (1/2) [eps0 t + (A/w1) sin(w1 t) + (A/w2) sin(w2 t)] with
     w1 = omega_0 - delta and w2 = omega_0 + delta; the frame transformation
-    itself is exp(i phi(t) sigma_z).
+    itself is exp(i phi(t) sigma_z).  For a time or an array of them, each
+    finite (``check_times``).
     """
     w1 = params.omega_minus
     w2 = params.omega_plus
     a = params.amplitude
-    return 0.5 * (params.epsilon0 * np.asarray(t, dtype=float)
-                  + (a / w1) * np.sin(w1 * np.asarray(t, dtype=float))
-                  + (a / w2) * np.sin(w2 * np.asarray(t, dtype=float)))
+    t = check_times("t", t)
+    return 0.5 * (params.epsilon0 * t + (a / w1) * np.sin(w1 * t) + (a / w2) * np.sin(w2 * t))
 
 
 def hamiltonian(params: SystemParams, axis: str, t: float) -> np.ndarray:
@@ -217,27 +219,25 @@ def hamiltonian(params: SystemParams, axis: str, t: float) -> np.ndarray:
 
 
 def validate_regime(params: SystemParams) -> RegimeReport:
-    """Detuning and heuristic warnings for the resonance approximation."""
-    warnings: list[str] = []
-    if params.modulation / params.carrier > MODULATION_RATIO_WARN:
-        warnings.append(
-            f"modulation/carrier = {params.modulation / params.carrier:.3g} "
-            f"exceeds {MODULATION_RATIO_WARN}; slow-modulation assumption is strained"
-        )
+    """Detuning and heuristic warnings for the resonance approximation.
+
+    Each ratio rule is one row (name, ratio, limit, consequence) of one
+    table, warned as "name = ratio exceeds limit; consequence" when the
+    ratio passes its limit; a new rule is one more row.  The two rows over
+    epsilon0 apply only when it is nonzero.
+    """
     detuning = params.detuning
     scale = abs(params.epsilon0)
+    rules = [("modulation/carrier", params.modulation / params.carrier, MODULATION_RATIO_WARN,
+              "slow-modulation assumption is strained")]
     if scale > 0.0:
-        if abs(detuning) / scale > DETUNING_RATIO_WARN:
-            warnings.append(
-                f"|detuning|/epsilon0 = {abs(detuning) / scale:.3g} exceeds "
-                f"{DETUNING_RATIO_WARN}; resonance condition is not met"
-            )
-        if abs(params.delta_gap) / scale > TUNNELING_RATIO_WARN:
-            warnings.append(
-                f"delta_gap/epsilon0 = {abs(params.delta_gap) / scale:.3g} exceeds "
-                f"{TUNNELING_RATIO_WARN}; perturbative tunneling assumption is strained"
-            )
-    elif detuning != 0.0 or params.delta_gap != 0.0:
+        rules += [("|detuning|/epsilon0", abs(detuning) / scale, DETUNING_RATIO_WARN,
+                   "resonance condition is not met"),
+                  ("delta_gap/epsilon0", abs(params.delta_gap) / scale, TUNNELING_RATIO_WARN,
+                   "perturbative tunneling assumption is strained")]
+    warnings = [f"{name} = {ratio:.3g} exceeds {limit}; {consequence}"
+                for name, ratio, limit, consequence in rules if ratio > limit]
+    if scale == 0.0 and (detuning != 0.0 or params.delta_gap != 0.0):
         warnings.append("epsilon0 is zero; resonance-order ratios are undefined")
     return RegimeReport(detuning=detuning, warnings=tuple(warnings))
 
@@ -249,7 +249,8 @@ def circuit_controls(ej0: float, ec: float,
     Returns (bx, bz) with bx = 2 ej0 cos(pi flux_ratio) set by the external
     flux (in units of the flux quantum) and bz = 4 ec (1 - gate_charge) set
     by the reduced gate charge (the gate capacitance enters only through it).
+    Each argument must be finite.
     """
-    bx = 2.0 * ej0 * math.cos(math.pi * flux_ratio)
-    bz = 4.0 * ec * (1.0 - gate_charge)
+    bx = 2.0 * check_times("ej0", ej0) * math.cos(math.pi * check_times("flux_ratio", flux_ratio))
+    bz = 4.0 * check_times("ec", ec) * (1.0 - check_times("gate_charge", gate_charge))
     return bx, bz

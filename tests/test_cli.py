@@ -153,14 +153,29 @@ def test_non_integral_file_value_is_named():
     ("sweep", "--ratio-max", "inf"),
     ("sweep", "--ratio-step", "nan"),
     ("zeros", "--tol", "nan"),
+    # a flag is text, refused by the rule of its config line
+    ("dynamics", "--samples", "2.7"),
+    ("dynamics", "--order", "abc"),
+    ("oracle", "--axis", "y"),
+    ("dynamics", "--format", "xml"),
+    ("dynamics", "--method", "exact"),
 ])
 def test_cli_rejects_non_finite_flags(tmp_path, capsys, command, flag, value):
     out = tmp_path / "x.csv"
-    code = main([command, flag, value, "--out", str(out), "--format", "csv"])
+    # the flag comes last, so it overrides the --format given with --out
+    code = main([command, "--out", str(out), "--format", "csv", flag, value])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"'{flag[2:].replace('-', '_')}'" in err
     assert not out.exists()
+
+
+def test_help_lists_the_choices(capsys):
+    with pytest.raises(SystemExit):
+        main(["oracle", "--help"])
+    out = capsys.readouterr().out
+    for flag in ("--axis {z,x}", "--format {csv,json}", "--method {analytic,reduced}"):
+        assert flag in out
 
 
 @pytest.mark.parametrize("fmt, expected", [

@@ -24,8 +24,10 @@ from floquet_qubit.floquet import (
     alpha_phase,
     build_phase_decomposition,
     effective_bessel_argument,
+    exact_effective_argument,
     fourier_phase,
     qes_state,
+    reconstruct_periodic_phase,
     weak_forms,
 )
 from floquet_qubit.model import (
@@ -222,6 +224,15 @@ def test_validate_regime_zero_splitting_warns():
     assert report.warnings == ("epsilon0 is zero; resonance-order ratios are undefined",)
 
 
+def test_validate_regime_messages_are_exact():
+    # every ratio rule trips, in the table's order
+    report = validate_regime(make_params(epsilon0=1.05, delta_gap=0.2, modulation=0.1))
+    assert report.warnings == (
+        "modulation/carrier = 0.1 exceeds 0.05; slow-modulation assumption is strained",
+        "|detuning|/epsilon0 = 0.0476 exceeds 0.01; resonance condition is not met",
+        "delta_gap/epsilon0 = 0.19 exceeds 0.1; perturbative tunneling assumption is strained")
+
+
 def test_circuit_controls():
     bx, _ = circuit_controls(1.0, 1.0, flux_ratio=0.5, gate_charge=0.0)
     assert abs(bx) < 1e-15
@@ -309,6 +320,29 @@ _ARGUMENTS = [
     ("alpha_phase past the float range", "t", lambda v: alpha_phase(make_params(), v), _HUGE),
     ("xconfig_dynamics past the float range", "t",
      lambda v: xconfig_dynamics(0.1, 0.01, v), _HUGE),
+    # a real is checked before it is converted to a float
+    ("SystemParams past the float range", "epsilon0", lambda v: make_params(epsilon0=v), _HUGE),
+    ("SystemParams past the float range", "delta_gap", lambda v: make_params(delta_gap=v), _HUGE),
+    ("SystemParams past the float range", "amplitude", lambda v: make_params(amplitude=v), _HUGE),
+    ("SystemParams past the float range", "carrier", lambda v: make_params(carrier=v), _HUGE),
+    ("SystemParams past the float range", "modulation",
+     lambda v: make_params(modulation=v), _HUGE),
+    ("xconfig_dynamics past the float range", "delta_mod",
+     lambda v: xconfig_dynamics(0.1, v, 1.0), _HUGE),
+    ("trace_periodicity_check past the float range", "reps",
+     lambda v: trace_periodicity_check(_TRACE, 1.0, v), _HUGE),
+    ("circuit_controls", "ej0", lambda v: circuit_controls(v, 1.0, 0.1, 0.2), _HUGE),
+    ("circuit_controls", "ec", lambda v: circuit_controls(1.0, v, 0.1, 0.2), _HUGE),
+    ("circuit_controls", "flux_ratio", lambda v: circuit_controls(1.0, 1.0, v, 0.2), _HUGE),
+    ("circuit_controls", "gate_charge", lambda v: circuit_controls(1.0, 1.0, 0.1, v), _HUGE),
+    ("phase_phi", "t", lambda v: phase_phi(make_params(), v), _HUGE),
+    ("phase_phi of an array", "t", lambda v: phase_phi(make_params(), [0.0, v]), _HUGE),
+    ("exact_effective_argument", "t",
+     lambda v: exact_effective_argument(make_params(), v), _HUGE),
+    ("reconstruct_periodic_phase", "t",
+     lambda v: reconstruct_periodic_phase(fourier_phase(make_params(), 4), 0.01, v), _HUGE),
+    ("reconstruct_periodic_phase", "delta_gap",
+     lambda v: reconstruct_periodic_phase(fourier_phase(make_params(), 4), v, 1.0), _HUGE),
 ]
 
 
